@@ -34,8 +34,6 @@ void PiggybackView::force_refresh(sim::TimePs now) {
 double PiggybackView::bytes_per_source_per_round() const {
   // One 8-bit occupancy field per local wavelength on each parallel AWGR
   // port (the paper's example: 256 wavelengths x 8 bits = 256 bytes).
-  double lambdas = 0;
-  for (int a = 0; a < fabric_->parallel_awgrs(); ++a) lambdas += 1;
   // Each port carries up to the AWGR radix wavelengths; use mcms as the
   // reachable-destination count per AWGR.
   return static_cast<double>(fabric_->mcms()) * fabric_->parallel_awgrs();  // 1 B per lambda

@@ -189,8 +189,8 @@ std::vector<ResultRow> eval_cpu_point(const ScenarioSpec& spec) {
   const double extra = cfg.dram.extra_ns;
 
   workloads::TraceConfig trace_cfg = bench.trace;
-  // base_seed == 0 keeps the registry seed (the paper's numbers, matching
-  // core::run_cpu_sweep exactly); otherwise the scenario re-seeds itself.
+  // base_seed == 0 keeps the registry seed (the paper's numbers); otherwise
+  // the scenario re-seeds itself.
   if (spec.base_seed != 0) trace_cfg.seed = spec.derived_seed();
 
   // One profile per (bench, config-at-extra=0): the recording is
@@ -255,7 +255,7 @@ std::vector<ResultRow> eval_gpu_point(const ScenarioSpec& spec) {
 
   gpusim::GpuConfig gpu = spec.resolve<gpusim::GpuConfig>("gpusim");
   // Baseline is always the photonic configuration of the same device: zero
-  // extra latency, full HBM bandwidth (matches core::run_gpu_sweep).
+  // extra latency, full HBM bandwidth.
   gpusim::GpuConfig base = gpu;
   base.extra_hbm_ns = 0.0;
   base.hbm_bandwidth_derate = 1.0;
