@@ -1,10 +1,14 @@
 // Capacity planner: given production-style usage distributions, compare a
 // static-node rack with a disaggregated rack on the same job stream, then
 // print the iso-performance provisioning plan (Section VI-E).
+//
+// The stream runs through the rack co-simulator open-loop
+// (contention_feedback = false): the fabric is measured but never stretches
+// a job, so acceptance and marooning reflect allocation policy alone.
 #include <iostream>
 
+#include "cosim/rack_cosim.hpp"
 #include "disagg/iso_perf.hpp"
-#include "disagg/job_scheduler.hpp"
 #include "sim/table.hpp"
 
 int main() {
@@ -13,11 +17,16 @@ int main() {
   const auto usage = workloads::UsageModel::cori();
   const rack::RackConfig rack_cfg;
 
-  disagg::JobSimConfig cfg;
+  cosim::CosimConfig cfg;
+  cfg.contention_feedback = false;
+  cfg.max_job_nodes = 16;
+  cfg.sim_time = 2000 * sim::kPsPerMs;
   const auto static_report =
-      disagg::run_job_stream(rack_cfg, disagg::AllocationPolicy::kStaticNodes, usage, cfg);
-  const auto disagg_report = disagg::run_job_stream(
-      rack_cfg, disagg::AllocationPolicy::kDisaggregated, usage, cfg);
+      cosim::run_rack_cosim(rack_cfg, disagg::AllocationPolicy::kStaticNodes, usage, cfg)
+          .jobs;
+  const auto disagg_report =
+      cosim::run_rack_cosim(rack_cfg, disagg::AllocationPolicy::kDisaggregated, usage, cfg)
+          .jobs;
 
   std::cout << "job-stream comparison (" << static_report.offered << " jobs offered)\n";
   sim::Table table({"Metric", "Static nodes", "Disaggregated"});

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <exception>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -201,6 +202,21 @@ CliOptions parse_cli(int argc, char** argv) {
   return opt;
 }
 
+/// One table cell of tail quantiles, joined by " / ", or "n/a" when the
+/// stream recorded nothing: the report's 0.0 sentinel keeps sweep
+/// aggregation NaN-free but must not read as a measured zero here.
+std::string tail_cell(const disagg::TailStats& tail,
+                      std::initializer_list<double disagg::TailStats::*> quantiles,
+                      bool pct = false) {
+  if (tail.count == 0) return "n/a";
+  std::string cell;
+  for (const auto q : quantiles) {
+    if (!cell.empty()) cell += " / ";
+    cell += pct ? sim::fmt_pct(tail.*q) : sim::fmt_fixed(tail.*q, 3);
+  }
+  return cell;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -314,18 +330,15 @@ int main(int argc, char** argv) {
       table.add_row({"mean job speed", sim::fmt_pct(report.mean_speed_fraction)});
       table.add_row({"mean stretch", sim::fmt_fixed(report.mean_stretch, 3)});
       table.add_row({"max stretch", sim::fmt_fixed(report.max_stretch, 3)});
+      using disagg::TailStats;
+      constexpr auto kP50 = &TailStats::p50, kP99 = &TailStats::p99,
+                     kP999 = &TailStats::p999;
       table.add_row({"wait p50/p99/p999 (ms)",
-                     sim::fmt_fixed(report.jobs.wait_ms.p50, 3) + " / " +
-                         sim::fmt_fixed(report.jobs.wait_ms.p99, 3) + " / " +
-                         sim::fmt_fixed(report.jobs.wait_ms.p999, 3)});
+                     tail_cell(report.jobs.wait_ms, {kP50, kP99, kP999})});
       table.add_row({"slowdown p50/p99/p999",
-                     sim::fmt_fixed(report.jobs.slowdown.p50, 3) + " / " +
-                         sim::fmt_fixed(report.jobs.slowdown.p99, 3) + " / " +
-                         sim::fmt_fixed(report.jobs.slowdown.p999, 3)});
+                     tail_cell(report.jobs.slowdown, {kP50, kP99, kP999})});
       table.add_row({"fct p50/p99/p999 (ms)",
-                     sim::fmt_fixed(report.jobs.fct_ms.p50, 3) + " / " +
-                         sim::fmt_fixed(report.jobs.fct_ms.p99, 3) + " / " +
-                         sim::fmt_fixed(report.jobs.fct_ms.p999, 3)});
+                     tail_cell(report.jobs.fct_ms, {kP50, kP99, kP999})});
       table.add_row({"censored (waiting/running)",
                      sim::fmt_int(static_cast<long long>(report.jobs.censored_waiting)) +
                          " / " +
@@ -357,12 +370,10 @@ int main(int argc, char** argv) {
                        sim::fmt_int(static_cast<long long>(ml.steps)) + " (" +
                            sim::fmt_int(static_cast<long long>(ml.collective_phases)) +
                            " collective phases)"});
-        table.add_row({"step p50/p99 (ms)",
-                       sim::fmt_fixed(ml.step_ms.p50, 3) + " / " +
-                           sim::fmt_fixed(ml.step_ms.p99, 3)});
-        table.add_row({"collective fraction p50", sim::fmt_pct(ml.coll_frac.p50)});
-        table.add_row({"straggler stretch p99",
-                       sim::fmt_fixed(ml.straggler.p99, 3)});
+        table.add_row({"step p50/p99 (ms)", tail_cell(ml.step_ms, {kP50, kP99})});
+        table.add_row({"collective fraction p50",
+                       tail_cell(ml.coll_frac, {kP50}, /*pct=*/true)});
+        table.add_row({"straggler stretch p99", tail_cell(ml.straggler, {kP99})});
       }
       if (opt.cluster) {
         table.add_row({"racks",

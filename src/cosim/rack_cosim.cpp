@@ -85,6 +85,13 @@ CosimConfig validated(CosimConfig cfg, const rack::RackConfig& rack) {
   return cfg;
 }
 
+/// Whether a fabric fault cuts `spec`: a dead MCM severs every flow touching
+/// it, a dead link only the flows on its own (src, dst) pair.
+bool severs(const fault::FaultEvent& ev, const net::FlowSpec& spec) {
+  return ev.cls == fault::ComponentClass::kMcm ? (spec.src == ev.a || spec.dst == ev.a)
+                                               : (spec.src == ev.a && spec.dst == ev.b);
+}
+
 }  // namespace
 
 void MlStreamStats::record_step(double step_ms, double coll_frac, double straggler,
@@ -108,23 +115,15 @@ void MlStreamStats::merge(const MlStreamStats& other) {
 }
 
 MlStats MlStreamStats::report() const {
-  const auto tails = [](const sim::QuantileSketch& sketch) {
-    disagg::TailStats t;
-    t.count = sketch.count();
-    t.p50 = sketch.quantile_or(0.5, 0.0);
-    t.p99 = sketch.quantile_or(0.99, 0.0);
-    t.p999 = sketch.quantile_or(0.999, 0.0);
-    return t;
-  };
   MlStats out;
   out.jobs_offered = offered_;
   out.jobs_accepted = accepted_;
   out.jobs_completed = completed_;
   out.steps = steps_;
   out.collective_phases = phases_;
-  out.step_ms = tails(step_ms_);
-  out.coll_frac = tails(coll_frac_);
-  out.straggler = tails(straggler_);
+  out.step_ms = disagg::tails_of(step_ms_);
+  out.coll_frac = disagg::tails_of(coll_frac_);
+  out.straggler = disagg::tails_of(straggler_);
   return out;
 }
 
@@ -279,9 +278,7 @@ RackCosim::JobPlan RackCosim::make_plan(sim::Rng& rng) const {
       (cfg_.ml.mix_fraction >= 1.0 || rng.uniform() < cfg_.ml.mix_fraction))
     return make_ml_plan(rng);
   JobPlan plan;
-  // The one definition of the §II-A demand shape, shared with
-  // disagg::JobStreamSim — both simulators must offer identical job mixes
-  // for closed-vs-open and static-vs-disagg comparisons to be controlled.
+  // The one definition of the §II-A demand shape (disagg::draw_job_request).
   const disagg::JobDraw draw =
       disagg::draw_job_request(rng, usage_, rack_.node, cfg_.max_job_nodes);
   plan.request = draw.request;
@@ -400,107 +397,107 @@ void RackCosim::schedule_next_arrival() {
   queue_.schedule_after(gap, [this]() { on_arrival(); });
 }
 
-bool RackCosim::try_start(const JobPlan& plan, sim::TimePs arrived, int retries,
-                          bool record) {
+double RackCosim::open_flow_speed(const LiveJob& job, double if_none) const {
+  double requested = 0.0, satisfied = 0.0;
+  for (std::size_t i = 0; i < job.flow_ids.size(); ++i) {
+    if (!job.flow_open[i]) continue;
+    const net::RouteResult& route = engine_.result(job.flow_ids[i]);
+    requested += route.requested;
+    satisfied += route.satisfied();
+  }
+  return requested > 0.0
+             ? std::clamp(satisfied / requested, cfg_.min_speed_fraction, 1.0)
+             : if_none;
+}
+
+bool RackCosim::admit(PendingJob& job) {
+  if (cfg_.admission == AdmissionPolicy::kQueue) {
+    if (backlog_.size() >= static_cast<std::size_t>(cfg_.queue_cap)) return false;
+    if (obs_.trace) obs_.trace->instant(obs::Track::kJobs, "enqueue", queue_.now());
+    backlog_.push_back(std::move(job));
+    drain_backlog();
+    return true;
+  }
+  return try_start(job);
+}
+
+bool RackCosim::try_start(const PendingJob& pending) {
+  const JobPlan& plan = pending.plan;
   std::shared_ptr<disagg::Allocation> alloc;
   {
     obs::ScopedTimer timer(obs_.profiler, sc_allocate_);
     alloc = std::make_shared<disagg::Allocation>(allocator_.allocate(plan.request));
   }
   if (!alloc->placed) return false;
+  const sim::TimePs now = queue_.now();
+  const sim::TimePs wait = now - pending.arrived;
   // `record` is false only for fault-requeued jobs: their acceptance, wait
   // and contention tails were recorded at FIRST placement and must not be
   // double-counted.  Fault-free runs always record, so this path is the
   // historical one byte for byte.
-  if (record) stats_.accept();
+  if (pending.record) {
+    stats_.accept();
+    {
+      obs::ScopedTimer timer(obs_.profiler, sc_sketch_);
+      stats_.record_wait(to_ms(wait));
+    }
+    if (obs_.metrics) obs_.metrics->observe(m_.wait_ms, to_ms(wait));
+  }
   ++live_jobs_;
   const std::uint64_t job_id = next_live_id_++;
   LiveJob& job = live_map_[job_id];
   job.plan = plan;
-  job.alloc = alloc;
-  job.arrived = arrived;
-  job.retries = retries;
+  job.alloc = std::move(alloc);
+  job.arrived = pending.arrived;
+  job.retries = pending.retries;
+  job.placed_at = now;
+  job.segment_start = now;
+  job.remaining_base = static_cast<double>(plan.base_hold);
+  if (faults_on_) bind_nodes(job_id);
   if (plan.ml.is_ml) {
     // Training jobs skip the HPC hold/stretch machinery entirely: their
     // lifetime is the event-driven step loop (compute segment, then a
     // collective on the live fabric), so contention acts through achieved
     // collective rates instead of a one-shot admission-time stretch.
-    if (record) mlstats_.accept();
-    const sim::TimePs wait = queue_.now() - arrived;
-    if (record) {
-      {
-        obs::ScopedTimer timer(obs_.profiler, sc_sketch_);
-        stats_.record_wait(to_ms(wait));
-      }
-      if (obs_.metrics) obs_.metrics->observe(m_.wait_ms, to_ms(wait));
-    }
+    if (pending.record) mlstats_.accept();
     if (obs_.trace)
       obs_.trace->instant(
-          obs::Track::kJobs, "ml_placed", queue_.now(),
+          obs::Track::kJobs, "ml_placed", now,
           {{"wait_ms", to_ms(wait)},
            {"ranks", static_cast<double>(plan.ml.endpoints.size())}});
-    job.placed_at = queue_.now();
-    job.segment_start = queue_.now();
-    job.speed = 1.0;
-    job.remaining_base = static_cast<double>(plan.base_hold);
-    if (faults_on_) bind_nodes(job_id);
     start_ml_step(job_id);
     return true;
   }
-  double requested = 0.0, satisfied = 0.0;
   job.flow_ids.reserve(plan.flows.size());
-  for (const auto& spec : plan.flows) {
-    const std::uint64_t id = engine_.open(spec, queue_.now());
-    job.flow_ids.push_back(id);
-    const net::RouteResult& route = engine_.result(id);
-    requested += route.requested;
-    satisfied += route.satisfied();
-  }
+  for (const auto& spec : plan.flows) job.flow_ids.push_back(engine_.open(spec, now));
   job.flow_open.assign(job.flow_ids.size(), 1);
-  const double local_speed =
-      requested > 0.0
-          ? std::clamp(satisfied / requested, cfg_.min_speed_fraction, 1.0)
-          : 1.0;
   // Spilled jobs run behind a finite inter-rack pipe: the grant fraction
   // caps speed multiplicatively.  Local jobs carry cap 1.0 — `x * 1.0` and
   // re-clamping an already-in-range value are both exact, so standalone
   // racks compute the historical speed bit for bit.
-  const double speed = std::clamp(local_speed * plan.remote_speed_cap,
+  const double speed = std::clamp(open_flow_speed(job, 1.0) * plan.remote_speed_cap,
                                   cfg_.min_speed_fraction, 1.0);
   const double stretch = cfg_.contention_feedback ? 1.0 / speed : 1.0;
-  if (record) {
-    speed_.add(speed);
-    stretch_.add(stretch);
-  }
   const auto hold = std::max<sim::TimePs>(
       1, static_cast<sim::TimePs>(static_cast<double>(plan.base_hold) * stretch));
-  // Tails are recorded at placement, when wait and hold are both known —
-  // NOT at completion, so mid-run reports carry no survivorship bias from
-  // long jobs still running.  Slowdown folds queueing and contention into
-  // one number: time-in-system over uncontended service time.
-  const sim::TimePs wait = queue_.now() - arrived;
-  if (record) {
-    {
-      obs::ScopedTimer timer(obs_.profiler, sc_sketch_);
-      stats_.record_wait(to_ms(wait));
-      stats_.record_slowdown(static_cast<double>(wait + hold) /
-                             static_cast<double>(plan.base_hold));
-      for (std::size_t i = 0; i < plan.flows.size(); ++i)
-        stats_.record_fct(to_ms(hold));
-    }
-    if (obs_.metrics) obs_.metrics->observe(m_.wait_ms, to_ms(wait));
+  if (pending.record) {
+    speed_.add(speed);
+    stretch_.add(stretch);
+    // Tails are recorded at placement, when wait and hold are both known —
+    // NOT at completion, so mid-run reports carry no survivorship bias from
+    // long jobs still running.  Slowdown folds queueing and contention into
+    // one number: time-in-system over uncontended service time.
+    obs::ScopedTimer timer(obs_.profiler, sc_sketch_);
+    stats_.record_slowdown(static_cast<double>(wait + hold) /
+                           static_cast<double>(plan.base_hold));
+    for (std::size_t i = 0; i < plan.flows.size(); ++i) stats_.record_fct(to_ms(hold));
   }
-  const sim::TimePs placed_at = queue_.now();
   if (obs_.trace)
-    obs_.trace->instant(obs::Track::kJobs, "placed", placed_at,
+    obs_.trace->instant(obs::Track::kJobs, "placed", now,
                         {{"wait_ms", to_ms(wait)}, {"speed", speed}});
-  job.placed_at = placed_at;
-  job.segment_start = placed_at;
   job.speed = speed;
-  job.remaining_base = static_cast<double>(plan.base_hold);
   job.completion =
       queue_.schedule_after(hold, [this, job_id]() { complete_job(job_id); });
-  if (faults_on_) bind_nodes(job_id);
   return true;
 }
 
@@ -608,10 +605,7 @@ void RackCosim::drain_backlog() {
   // Strict FIFO: stop at the first job that does not fit, even if a
   // narrower one behind it would — backfilling would reorder the queue and
   // make wait tails incomparable across policies.
-  while (!backlog_.empty() &&
-         try_start(backlog_.front().plan, backlog_.front().arrived,
-                   backlog_.front().retries, backlog_.front().record))
-    backlog_.pop_front();
+  while (!backlog_.empty() && try_start(backlog_.front())) backlog_.pop_front();
 }
 
 // The timeline alternates fail/repair strictly per component, so every fail
@@ -696,23 +690,13 @@ std::vector<std::uint64_t> RackCosim::victims_of(const fault::FaultEvent& ev) co
         if (job.plan.ml.is_ml) {
           // A training job touches the fabric only during collective phases;
           // mid-compute it has no open flows and a fabric fault passes it by.
-          if (job.runner) {
-            for (const net::FlowSpec& spec : job.runner->open_specs()) {
-              hit = ev.cls == fault::ComponentClass::kMcm
-                        ? (spec.src == ev.a || spec.dst == ev.a)
-                        : (spec.src == ev.a && spec.dst == ev.b);
-              if (hit) break;
-            }
-          }
+          if (job.runner)
+            for (const net::FlowSpec& spec : job.runner->open_specs())
+              if ((hit = severs(ev, spec))) break;
           break;
         }
-        for (std::size_t i = 0; i < job.flow_ids.size() && !hit; ++i) {
-          if (!job.flow_open[i]) continue;
-          const net::FlowSpec& spec = job.plan.flows[i];
-          hit = ev.cls == fault::ComponentClass::kMcm
-                    ? (spec.src == ev.a || spec.dst == ev.a)
-                    : (spec.src == ev.a && spec.dst == ev.b);
-        }
+        for (std::size_t i = 0; i < job.flow_ids.size() && !hit; ++i)
+          hit = job.flow_open[i] && severs(ev, job.plan.flows[i]);
         break;
       case fault::ComponentClass::kNode:
         hit = disagg ? job.home_node == ev.a
@@ -781,28 +765,13 @@ void RackCosim::resume_degraded(std::uint64_t job_id, const fault::FaultEvent& e
   // Drop the flows stranded on the dead component; survivors keep their
   // admission-time reservations.
   for (std::size_t i = 0; i < job.flow_ids.size(); ++i) {
-    if (!job.flow_open[i]) continue;
-    const net::FlowSpec& spec = job.plan.flows[i];
-    const bool dead = ev.cls == fault::ComponentClass::kMcm
-                          ? (spec.src == ev.a || spec.dst == ev.a)
-                          : (spec.src == ev.a && spec.dst == ev.b);
-    if (!dead) continue;
+    if (!job.flow_open[i] || !severs(ev, job.plan.flows[i])) continue;
     engine_.close(job.flow_ids[i], now);
     job.flow_open[i] = 0;
   }
-  double requested = 0.0, satisfied = 0.0;
-  for (std::size_t i = 0; i < job.flow_ids.size(); ++i) {
-    if (!job.flow_open[i]) continue;
-    const net::RouteResult& route = engine_.result(job.flow_ids[i]);
-    requested += route.requested;
-    satisfied += route.satisfied();
-  }
   // A job whose every flow died crawls at the floor speed — an empty sum
   // must not read as full speed.
-  const double speed =
-      requested > 0.0
-          ? std::clamp(satisfied / requested, cfg_.min_speed_fraction, 1.0)
-          : cfg_.min_speed_fraction;
+  const double speed = open_flow_speed(job, cfg_.min_speed_fraction);
   const double stretch = cfg_.contention_feedback ? 1.0 / speed : 1.0;
   queue_.cancel(job.completion);
   const auto hold =
@@ -831,27 +800,24 @@ void RackCosim::schedule_retry(JobPlan plan, sim::TimePs arrived, int retries) {
   const auto delay = std::max<sim::TimePs>(
       1, static_cast<sim::TimePs>(backoff_ms * static_cast<double>(sim::kPsPerMs)));
   ++fstats_.requeued;
-  // Admission semantics for retries, pinned by test_fault: the backlog is a
-  // kQueue-only structure.  Under kDrop a retry never touches the backlog —
-  // it re-attempts placement directly and backs off again on failure, so a
-  // drop-mode rack's queue depth stays identically zero even under fault
-  // churn.  Under kQueue the retry competes for backlog space on the same
-  // queue_cap bound as a fresh arrival (no reserved headroom), and a full
-  // backlog kills it: a revoked job must not be able to wait in a place
-  // arrivals are being turned away from.
-  queue_.schedule_after(delay, [this, plan = std::move(plan), arrived, retries]() {
-    engine_.refresh_view(queue_.now());
-    if (cfg_.admission == AdmissionPolicy::kQueue) {
-      if (backlog_.size() < static_cast<std::size_t>(cfg_.queue_cap)) {
-        backlog_.push_back(PendingJob{plan, arrived, retries, false});
-        drain_backlog();
-      } else {
-        ++fstats_.killed;  // backlog full: the retry has nowhere to wait
-      }
-    } else if (!try_start(plan, arrived, retries, false)) {
-      schedule_retry(plan, arrived, retries + 1);
-    }
-  });
+  // Admission semantics for retries, pinned by test_fault: a retry takes
+  // the same admit() path as a fresh arrival.  Under kDrop it never touches
+  // the backlog — it re-attempts placement directly and backs off again on
+  // failure, so a drop-mode rack's queue depth stays identically zero even
+  // under fault churn.  Under kQueue it competes for backlog space on the
+  // same queue_cap bound as a fresh arrival (no reserved headroom), and a
+  // full backlog kills it: a revoked job must not be able to wait in a
+  // place arrivals are being turned away from.
+  queue_.schedule_after(
+      delay, [this, plan = std::move(plan), arrived, retries]() mutable {
+        engine_.refresh_view(queue_.now());
+        PendingJob job{std::move(plan), arrived, retries, /*record=*/false};
+        if (admit(job)) return;
+        if (backlog_.empty())  // a kDrop refusal (see admit): back off again
+          schedule_retry(std::move(job.plan), arrived, retries + 1);
+        else
+          ++fstats_.killed;  // backlog full: the retry has nowhere to wait
+      });
 }
 
 void RackCosim::on_fault(const fault::FaultEvent& ev) {
@@ -934,32 +900,21 @@ void RackCosim::on_arrival() {
   // and flow layout are a pure function of (seed, index), independent of
   // every placement decision before it.
   sim::Rng job_rng = base_rng_.child(16 + next_job_index_++);
-  JobPlan plan = make_plan(job_rng);
-  if (plan.ml.is_ml) mlstats_.offer();
+  PendingJob job{make_plan(job_rng), queue_.now()};
+  if (job.plan.ml.is_ml) mlstats_.offer();
 
   // A job the rack cannot admit is offered to the spill handler before being
   // dropped; a standalone rack (no handler) takes the historical drop path
-  // unchanged.  The spilled job stays in `offered` here but is accepted (or
-  // lost) wherever it lands, so cluster-wide acceptance stays conservative.
-  if (cfg_.admission == AdmissionPolicy::kQueue) {
-    // Bounded FIFO: over-cap arrivals are dropped (they stay counted in
-    // `offered`, so acceptance reflects the loss).
-    if (backlog_.size() < static_cast<std::size_t>(cfg_.queue_cap)) {
-      if (obs_.trace) obs_.trace->instant(obs::Track::kJobs, "enqueue", queue_.now());
-      backlog_.push_back(PendingJob{std::move(plan), queue_.now()});
-      drain_backlog();
-    } else if (spill_ && spill_(plan, queue_.now())) {
+  // unchanged.  A dropped job stays counted in `offered`, so acceptance
+  // reflects the loss; a spilled one is accepted (or lost) wherever it
+  // lands, so cluster-wide acceptance stays conservative.
+  if (!admit(job)) {
+    if (spill_ && spill_(job.plan, queue_.now())) {
       if (obs_.trace) obs_.trace->instant(obs::Track::kJobs, "spill", queue_.now());
     } else if (obs_.trace) {
-      obs_.trace->instant(obs::Track::kJobs, "queue_drop", queue_.now());
-    }
-  } else {
-    if (!try_start(plan, queue_.now())) {
-      if (spill_ && spill_(plan, queue_.now())) {
-        if (obs_.trace) obs_.trace->instant(obs::Track::kJobs, "spill", queue_.now());
-      } else if (obs_.trace) {
-        obs_.trace->instant(obs::Track::kJobs, "reject", queue_.now());
-      }
+      // See admit(): only a full kQueue backlog is left behind a refusal.
+      obs_.trace->instant(obs::Track::kJobs, backlog_.empty() ? "reject" : "queue_drop",
+                          queue_.now());
     }
   }
   // Step the trace on EVERY arrival, rejected ones included: the level only
@@ -983,18 +938,9 @@ void RackCosim::inject_remote_job(JobPlan plan, sim::TimePs deliver_at,
     // offered here — the origin rack already counted the offer, so cluster
     // totals add up.  A second rejection is final: the spill is lost and
     // the inter-rack grant goes back (placed = false).
-    bool admitted = false;
-    if (cfg_.admission == AdmissionPolicy::kQueue) {
-      if (backlog_.size() < static_cast<std::size_t>(cfg_.queue_cap)) {
-        backlog_.push_back(PendingJob{std::move(plan), arrived, 0, true});
-        drain_backlog();
-        admitted = true;
-      }
-    } else {
-      admitted = try_start(plan, arrived);
-    }
-    if (!admitted) {
-      close_remote(plan, /*placed=*/false);
+    PendingJob job{std::move(plan), arrived};
+    if (!admit(job)) {
+      close_remote(job.plan, /*placed=*/false);
       if (obs_.trace)
         obs_.trace->instant(obs::Track::kJobs, "spill_lost", queue_.now());
     }

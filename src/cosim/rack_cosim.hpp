@@ -48,10 +48,10 @@ const config::EnumCodec<AdmissionPolicy>& admission_policy_codec();
 /// The loop closes through contention: a job's measured satisfied fraction
 /// (reserved / requested fabric bandwidth at admission) stretches its
 /// residual duration, so congested racks hold resources longer, which
-/// raises occupancy, which lowers acceptance — the dynamics an open-loop
-/// job stream (disagg::JobStreamSim) cannot express.
+/// raises occupancy, which lowers acceptance.  With contention_feedback =
+/// false the same engine is the open-loop §II-A job-stream comparison.
 struct CosimConfig {
-  // --- job stream (mirrors disagg::JobSimConfig) ---
+  // --- job stream ---
   double arrivals_per_ms = 4.0;
   sim::TimePs mean_duration = 20 * sim::kPsPerMs;
   sim::TimePs sim_time = 400 * sim::kPsPerMs;
@@ -324,7 +324,7 @@ class RackCosim {
 
   std::uint64_t live_jobs_ = 0;
   std::deque<PendingJob> backlog_;
-  disagg::JobStreamStats stats_;  // shared with JobStreamSim: same telemetry
+  disagg::JobStreamStats stats_;  // offered/accepted, utilization, tails
   MlStreamStats mlstats_;         // training-stream tails (untouched when ml off)
   sim::RunningStats speed_, stretch_;
   phot::EnergyTrace energy_;
@@ -371,8 +371,18 @@ class RackCosim {
   void step_energy();
   void schedule_next_arrival();
   void on_arrival();
-  bool try_start(const JobPlan& plan, sim::TimePs arrived, int retries = 0,
-                 bool record = true);
+  /// The one admission rule, shared by arrivals, delivered spills and fault
+  /// retries.  kQueue: join the backlog if it is under queue_cap, then
+  /// drain it.  kDrop: place now or not at all.  Returns whether the job was
+  /// admitted; `job` is moved from only then, so a caller's failure handling
+  /// still has the plan.  A kQueue refusal always leaves a full (non-empty)
+  /// backlog and a kDrop rack never holds one, so `backlog_.empty()` after a
+  /// refusal tells a failed placement from a full queue.
+  bool admit(PendingJob& job);
+  bool try_start(const PendingJob& pending);
+  /// Clamped satisfied fraction of `job`'s open flows; `if_none` when it has
+  /// none open (full speed at placement, the floor once faults cut them all).
+  [[nodiscard]] double open_flow_speed(const LiveJob& job, double if_none) const;
   void complete_job(std::uint64_t job_id);
   void drain_backlog();
 

@@ -381,6 +381,19 @@ TEST(MlAccounting, StepTimeDominatesComputeTime) {
             report.ml.jobs_completed * 2u);  // cfg.ml.steps per finished job
 }
 
+// The tails are read on the sketch's percent scale: p50/p99 of steps
+// 1..100 ms sit at the 50th/99th step, within the sketch's relative error.
+TEST(MlAccounting, StepTailsAreReadOnThePercentScale) {
+  cosim::MlStreamStats stats;
+  for (int ms = 1; ms <= 100; ++ms) stats.record_step(ms, 0.5, 1.0 + ms / 100.0, 1);
+  const cosim::MlStats report = stats.report();
+  ASSERT_EQ(report.step_ms.count, 100u);
+  EXPECT_NEAR(report.step_ms.p50, 50.0, 0.01 * 50.0);
+  EXPECT_NEAR(report.step_ms.p99, 99.0, 0.01 * 99.0);
+  EXPECT_NEAR(report.straggler.p99, 1.99, 0.01 * 1.99);
+  EXPECT_GE(report.straggler.p99, report.straggler.p50);
+}
+
 // ---------------------------------------------------------------------------
 // Campaign determinism: the ML campaign serializes byte-identically at
 // every --jobs level (the same pin the fault/cluster campaigns carry).

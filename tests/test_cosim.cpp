@@ -112,6 +112,22 @@ TEST(Cosim, OpenLoopNeverStretches) {
   EXPECT_GT(report.mean_speed_fraction, 0.0);
 }
 
+// The §II-A policy comparison, open loop so only allocation differs: on the
+// same offered stream disaggregation accepts at least as much as static
+// nodes, and pooled resources leave nothing marooned.
+TEST(Cosim, OpenLoopDisaggregationAcceptsAtLeastStaticAndMaroonsNothing) {
+  for (const double rate : {2.0, 8.0}) {
+    const auto stat = run_quick(disagg::AllocationPolicy::kStaticNodes,
+                                quick(rate, /*feedback=*/false));
+    const auto pooled = run_quick(disagg::AllocationPolicy::kDisaggregated,
+                                  quick(rate, /*feedback=*/false));
+    ASSERT_EQ(stat.jobs.offered, pooled.jobs.offered) << "rate " << rate;
+    EXPECT_GE(pooled.jobs.acceptance(), stat.jobs.acceptance() - 1e-9) << "rate " << rate;
+    EXPECT_DOUBLE_EQ(pooled.jobs.mean_marooned_cpu, 0.0) << "rate " << rate;
+    EXPECT_DOUBLE_EQ(pooled.jobs.mean_marooned_memory, 0.0) << "rate " << rate;
+  }
+}
+
 TEST(Cosim, ClosedLoopStretchBoundedByFloor) {
   auto cfg = quick(16.0);
   cfg.min_speed_fraction = 0.25;
@@ -152,6 +168,7 @@ TEST(Cosim, MidRunReportIsUsable) {
   sim.advance_to(50 * sim::kPsPerMs);
   const auto mid = sim.report();
   EXPECT_GT(mid.jobs.offered, 0u);
+  EXPECT_GT(sim.allocator().pools().cpus_used, 0);  // jobs are holding CPUs
   EXPECT_LE(sim.now(), 50 * sim::kPsPerMs);
   sim.finish();
   EXPECT_GE(sim.report().jobs.offered, mid.jobs.offered);
