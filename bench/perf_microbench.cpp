@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the simulator substrate itself:
 // event-queue throughput, cache access rate, DRAM model, trace generation,
-// full timing-simulation rate, miss-profile record/replay, and
-// indirect-routing decision rate.
+// full timing-simulation rate, miss-profile record/replay, flow open/close
+// cost over fabric size, and indirect-routing decision rate.
 //
 // Besides the console table, results are written as machine-readable JSON
 // to BENCH_results.json (override with BENCH_RESULTS_PATH) so CI can track
@@ -210,6 +210,30 @@ BENCHMARK_CAPTURE(BM_CollectiveStep, ring_24, collectives::Pattern::kRingAllRedu
 BENCHMARK_CAPTURE(BM_CollectiveStep, alltoall_8, collectives::Pattern::kAllToAll, 8);
 BENCHMARK_CAPTURE(BM_CollectiveStep, alltoall_24, collectives::Pattern::kAllToAll, 24);
 
+// One flow opened and closed through FlowEngine per iteration on an N-MCM
+// slice: the per-flow cost every job placement in the rack co-simulation
+// pays.  The 20 Gb/s demand fits the pair's direct wavelength, so routing
+// itself is O(1) and the curve over N shows what the engine's own
+// bookkeeping (utilization tracking) costs as the fabric grows.
+void BM_FlowOpen(benchmark::State& state) {
+  const int mcms = static_cast<int>(state.range(0));
+  net::WavelengthFabric fabric(mcms, collective_slice_plan(mcms));
+  net::FlowEngine engine(fabric, 10 * sim::kPsPerUs, 42);
+  sim::Rng rng(7);
+  const auto n = static_cast<std::uint64_t>(mcms);
+  for (auto _ : state) {
+    net::FlowSpec spec;
+    spec.src = static_cast<int>(rng.below(n));
+    spec.dst = static_cast<int>((static_cast<std::uint64_t>(spec.src) + 1 + rng.below(n - 1)) % n);
+    spec.gbps = 20.0;
+    const std::uint64_t id = engine.open(spec);
+    benchmark::DoNotOptimize(id);
+    engine.close(id);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FlowOpen)->Arg(24)->Arg(48)->Arg(96);
+
 void BM_IndirectRouting(benchmark::State& state) {
   core::RackSystem system(rack::FabricKind::kParallelAwgrs);
   auto fabric = system.make_fabric();
@@ -221,7 +245,7 @@ void BM_IndirectRouting(benchmark::State& state) {
     const int src = static_cast<int>(rng.below(mcms));
     int dst = static_cast<int>(rng.below(mcms));
     if (dst == src) dst = (dst + 1) % static_cast<int>(mcms);
-    auto result = router.route(src, dst, 200.0);  // forces indirect spill
+    auto result = router.route(src, dst, sim::to_quanta(200.0));  // forces indirect spill
     benchmark::DoNotOptimize(result);
     router.release(result);
   }

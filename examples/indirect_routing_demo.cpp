@@ -18,17 +18,17 @@ int main() {
   const int src = 17, dst = 261;
   std::cout << "direct wavelengths " << src << " -> " << dst << ": "
             << fabric.direct_lambdas(src, dst) << " ("
-            << fabric.direct_capacity(src, dst) << " Gb/s)\n\n";
+            << sim::from_quanta(fabric.direct_capacity(src, dst)) << " Gb/s)\n\n";
 
   sim::Table table({"Requested Gb/s", "Direct", "Indirect", "Blocked", "Intermediates",
                     "2nd hops"});
   std::vector<net::RouteResult> held;
   for (const double demand : {50.0, 125.0, 500.0, 2000.0, 8000.0}) {
-    auto result = router.route(src, dst, demand);
-    table.add_row({sim::fmt_fixed(result.requested, 0),
-                   sim::fmt_fixed(result.direct_gbps, 0),
-                   sim::fmt_fixed(result.indirect_gbps, 0),
-                   sim::fmt_fixed(result.blocked_gbps, 0),
+    auto result = router.route(src, dst, sim::to_quanta(demand));
+    table.add_row({sim::fmt_fixed(sim::from_quanta(result.requested), 0),
+                   sim::fmt_fixed(sim::from_quanta(result.direct), 0),
+                   sim::fmt_fixed(sim::from_quanta(result.indirect), 0),
+                   sim::fmt_fixed(sim::from_quanta(result.blocked), 0),
                    sim::fmt_int(result.intermediates_used),
                    sim::fmt_int(result.second_hops)});
     held.push_back(std::move(result));

@@ -74,9 +74,9 @@ ClusterCosim::ClusterCosim(const rack::RackConfig& rack,
           return true;
         });
     rc->set_remote_close_handler(
-        [this, r](int link, double gbps, sim::TimePs at, bool placed) {
+        [this, r](int link, sim::Quanta bw, sim::TimePs at, bool placed) {
           close_out_[static_cast<std::size_t>(r)].push_back(
-              CloseMsg{at, r, link, gbps, placed});
+              CloseMsg{at, r, link, bw, placed});
         });
   }
 }
@@ -149,22 +149,22 @@ void ClusterCosim::exchange(sim::TimePs /*barrier*/) {
     const auto ur = static_cast<std::size_t>(ref.origin);
     if (ref.kind == 0) {
       const CloseMsg& msg = close_out_[ur][ref.idx];
-      fabric_.release(msg.link, msg.gbps);
+      fabric_.release(msg.link, msg.bw, msg.at);
       if (!msg.placed) ++spill_failed_;
     } else {
       SpillMsg& msg = spill_out_[ur][ref.idx];
       const int target = pick_target(msg.origin);
       const int link = fabric_.link(msg.origin, target);
-      double requested = 0.0;
-      for (const auto& flow : msg.plan.flows) requested += flow.gbps;
-      const double granted = fabric_.reserve(link, requested);
+      double requested_gbps = 0.0;
+      for (const auto& flow : msg.plan.flows) requested_gbps += flow.gbps;
+      const sim::Quanta requested = sim::to_quanta(requested_gbps);
+      const sim::Quanta granted = fabric_.reserve(link, requested, msg.at);
       msg.plan.remote_link = link;
-      msg.plan.remote_gbps = granted;
+      msg.plan.remote_bw = granted;
       // The grant fraction becomes the job's speed ceiling at the target: a
       // half-granted uplink runs the job at half speed (clamped to the
       // rack's min_speed floor at placement).
-      msg.plan.remote_speed_cap =
-          requested > 0.0 ? std::clamp(granted / requested, 0.0, 1.0) : 1.0;
+      msg.plan.remote_speed_cap = sim::ratio(granted, requested, 1.0);
       racks_[static_cast<std::size_t>(target)]->inject_remote_job(
           std::move(msg.plan), msg.at + hop, msg.arrived);
       ++spilled_;
@@ -217,7 +217,7 @@ ClusterReport ClusterCosim::report() const {
   const bool lit = coupled();
   out.interconnect_power_w = fabric_.power_w(lit);
   out.interconnect_energy_j = out.interconnect_power_w * sim::to_s(sim_end());
-  out.interconnect_utilization = fabric_.utilization();
+  out.interconnect_utilization = fabric_.utilization(sim_end());
   out.racks.reserve(racks_.size());
   for (const auto& r : racks_) out.racks.push_back(r->report());
   if (racks_.size() == 1) {

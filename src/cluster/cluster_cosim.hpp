@@ -53,7 +53,8 @@ struct ClusterReport {
   std::uint64_t barriers = 0;       // synchronization windows executed
   double interconnect_power_w = 0.0;
   double interconnect_energy_j = 0.0;
-  double interconnect_utilization = 0.0;  // at report time
+  /// Allocated fraction of the inter-rack links, time-averaged over the run.
+  double interconnect_utilization = 0.0;
 };
 
 /// Multi-rack cluster co-simulation: N independent RackCosim event domains
@@ -113,7 +114,7 @@ class ClusterCosim {
     sim::TimePs at = 0;
     int origin = 0;
     int link = -1;
-    double gbps = 0.0;
+    sim::Quanta bw = 0;
     bool placed = true;
   };
 

@@ -9,6 +9,7 @@ InterRackFabric::InterRackFabric(int racks, double gbps_per_link, double hop_ns,
                                  double pj_per_bit)
     : racks_(racks),
       gbps_(gbps_per_link),
+      cap_(sim::to_quanta(gbps_per_link)),
       hop_ps_(std::max<sim::TimePs>(
           1, static_cast<sim::TimePs>(hop_ns *
                                       static_cast<double>(sim::kPsPerNs)))),
@@ -20,7 +21,7 @@ InterRackFabric::InterRackFabric(int racks, double gbps_per_link, double hop_ns,
     throw std::invalid_argument("InterRackFabric: hop latency must be >= 0");
   if (pj_per_bit < 0.0)
     throw std::invalid_argument("InterRackFabric: pJ/bit must be >= 0");
-  alloc_.assign(static_cast<std::size_t>(racks_) * racks_, 0.0);
+  alloc_.assign(static_cast<std::size_t>(racks_) * racks_, 0);
 }
 
 int InterRackFabric::link(int src, int dst) const {
@@ -34,35 +35,48 @@ void InterRackFabric::check_link(int link_id) const {
     throw std::invalid_argument("InterRackFabric: bad link id");
 }
 
-double InterRackFabric::reserve(int link_id, double gbps) {
+void InterRackFabric::advance_to(sim::TimePs at) {
+  if (at < last_change_)
+    throw std::logic_error("InterRackFabric: reserve/release out of time order");
+  used_area_ += static_cast<double>(used_) * static_cast<double>(at - last_change_);
+  last_change_ = at;
+}
+
+sim::Quanta InterRackFabric::reserve(int link_id, sim::Quanta want, sim::TimePs at) {
   check_link(link_id);
-  if (gbps < 0.0)
+  if (want < 0)
     throw std::invalid_argument("InterRackFabric::reserve: negative demand");
-  const double grant = std::min(gbps, std::max(0.0, gbps_ - alloc_[link_id]));
-  alloc_[static_cast<std::size_t>(link_id)] += grant;
+  advance_to(at);
+  auto& used = alloc_[static_cast<std::size_t>(link_id)];
+  const sim::Quanta grant = std::min(want, std::max<sim::Quanta>(0, cap_ - used));
+  used += grant;
+  used_ += grant;
   return grant;
 }
 
-void InterRackFabric::release(int link_id, double gbps) {
+void InterRackFabric::release(int link_id, sim::Quanta amount, sim::TimePs at) {
   check_link(link_id);
   auto& used = alloc_[static_cast<std::size_t>(link_id)];
-  if (gbps > used + 1e-9)
+  if (amount > used)
     throw std::logic_error("InterRackFabric::release: more than allocated");
-  used = std::max(0.0, used - gbps);
+  advance_to(at);
+  used -= amount;
+  used_ -= amount;
 }
 
-double InterRackFabric::allocated(int link_id) const {
+sim::Quanta InterRackFabric::allocated(int link_id) const {
   check_link(link_id);
   return alloc_[static_cast<std::size_t>(link_id)];
 }
 
-double InterRackFabric::utilization() const {
-  if (racks_ < 2) return 0.0;
-  double used = 0.0;
-  for (const double a : alloc_) used += a;
+double InterRackFabric::utilization(sim::TimePs end) const {
+  if (racks_ < 2 || end <= 0) return 0.0;
+  const double area =
+      used_area_ + static_cast<double>(used_) *
+                       static_cast<double>(std::max<sim::TimePs>(0, end - last_change_));
   // Diagonal entries are never allocated; capacity counts directed pairs.
   const double links = static_cast<double>(racks_) * (racks_ - 1);
-  return used / (links * gbps_);
+  return area / (links * static_cast<double>(cap_) * static_cast<double>(end));
 }
 
 double InterRackFabric::power_w(bool lit) const {

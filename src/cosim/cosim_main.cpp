@@ -100,99 +100,83 @@ CliOptions parse_cli(int argc, char** argv) {
   CliOptions opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) throw std::invalid_argument(std::string(flag) + " needs a value");
+    auto value = [&]() -> std::string {
+      if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
       return argv[++i];
+    };
+    // Flag sugar for one registry path: errors name the flag the user typed
+    // in front of the registry's own message ("--spill: unknown spill
+    // policy 'ring' (want none|next|least)").
+    auto set = [&](const std::string& path, const std::string& v) {
+      try {
+        opt.tree.set(path, v);
+      } catch (const std::exception& e) {
+        throw std::invalid_argument(arg + ": " + e.what());
+      }
     };
     if (arg == "--help" || arg == "-h") {
       print_usage(std::cout);
       std::exit(0);
     } else if (arg == "--policy") {
-      opt.policy = disagg::allocation_policy_codec().parse(value("--policy"));
+      opt.policy = disagg::allocation_policy_codec().parse(value());
     } else if (arg == "--rate") {
-      opt.tree.set("cosim.arrivals_per_ms", value("--rate"));
+      set("cosim.arrivals_per_ms", value());
     } else if (arg == "--duration-ms") {
-      opt.tree.set("cosim.duration_ms", value("--duration-ms"));
+      set("cosim.duration_ms", value());
     } else if (arg == "--horizon-ms") {
-      opt.tree.set("cosim.horizon_ms", value("--horizon-ms"));
+      set("cosim.horizon_ms", value());
     } else if (arg == "--seed") {
-      opt.tree.set("cosim.seed", value("--seed"));
+      set("cosim.seed", value());
     } else if (arg == "--mcms") {
-      opt.tree.set("net.mcms", value("--mcms"));
+      set("net.mcms", value());
     } else if (arg == "--traffic-scale") {
-      opt.tree.set("cosim.traffic_scale", value("--traffic-scale"));
+      set("cosim.traffic_scale", value());
     } else if (arg == "--open-loop") {
-      opt.tree.set("cosim.contention_feedback", "open");
+      set("cosim.contention_feedback", "open");
     } else if (arg == "--arrival") {
-      opt.tree.set("cosim.arrival.process", value("--arrival"));
+      set("cosim.arrival.process", value());
     } else if (arg == "--queue") {
-      opt.tree.set("cosim.admission", "queue");
+      set("cosim.admission", "queue");
       // Optional cap: consume the next token only when it looks like one.
-      if (i + 1 < argc && argv[i + 1][0] != '-')
-        opt.tree.set("cosim.queue_cap", argv[++i]);
+      if (i + 1 < argc && argv[i + 1][0] != '-') set("cosim.queue_cap", argv[++i]);
     } else if (arg == "--racks") {
       opt.cluster = true;
-      opt.tree.set("cluster.racks", value("--racks"));
+      set("cluster.racks", value());
     } else if (arg == "--spill") {
-      // Validate eagerly so the error names the flag the user typed.
-      const std::string v = value("--spill");
-      try {
-        (void)cluster::spill_policy_codec().parse(v);
-      } catch (const std::exception& e) {
-        throw std::invalid_argument("--spill: " + std::string(e.what()));
-      }
       opt.cluster = true;
-      opt.tree.set("cluster.spill", v);
+      set("cluster.spill", value());
     } else if (arg == "--faults") {
-      opt.tree.set("fault.enabled", "true");
+      set("fault.enabled", "true");
     } else if (arg == "--mtbf-ms") {
       // Sugar for the common symmetric case; per-class rates stay reachable
-      // through --set fault.{mcm,node,link,laser}_mtbf_ms.  Errors name the
-      // flag the user actually typed, not the registry path behind it.
-      const std::string v = value("--mtbf-ms");
-      try {
-        opt.tree.set("fault.enabled", "true");
-        opt.tree.set("fault.mcm_mtbf_ms", v);
-        opt.tree.set("fault.node_mtbf_ms", v);
-      } catch (const std::exception& e) {
-        throw std::invalid_argument("--mtbf-ms: " + std::string(e.what()));
-      }
+      // through --set fault.{mcm,node,link,laser}_mtbf_ms.
+      const std::string v = value();
+      set("fault.enabled", "true");
+      set("fault.mcm_mtbf_ms", v);
+      set("fault.node_mtbf_ms", v);
     } else if (arg == "--ml") {
-      opt.tree.set("ml.enabled", "true");
+      set("ml.enabled", "true");
     } else if (arg == "--collective") {
-      // Validate eagerly so the error names the flag the user typed.
-      const std::string v = value("--collective");
-      try {
-        (void)collectives::pattern_codec().parse(v);
-      } catch (const std::exception& e) {
-        throw std::invalid_argument("--collective: " + std::string(e.what()));
-      }
-      opt.tree.set("ml.enabled", "true");
-      opt.tree.set("ml.pattern", v);
+      set("ml.enabled", "true");
+      set("ml.pattern", value());
     } else if (arg == "--resilience") {
-      const std::string v = value("--resilience");
-      try {
-        (void)fault::resilience_policy_codec().parse(v);
-      } catch (const std::exception& e) {
-        throw std::invalid_argument("--resilience: " + std::string(e.what()));
-      }
-      opt.tree.set("fault.policy", v);
+      set("fault.policy", value());
     } else if (arg == "--set") {
-      const std::string kv = value("--set");
+      const std::string kv = value();
       const std::size_t eq = kv.find('=');
       if (eq == std::string::npos || eq == 0 || eq + 1 == kv.size())
         throw std::invalid_argument("--set wants path=value, got '" + kv + "'");
       opt.tree.set(kv.substr(0, eq), kv.substr(eq + 1));
     } else if (arg == "--manifest") {
-      opt.manifest_path = value("--manifest");
+      opt.manifest_path = value();
     } else if (arg == "--trace") {
-      opt.trace_path = value("--trace");
+      opt.trace_path = value();
     } else if (arg == "--metrics") {
-      opt.metrics_path = value("--metrics");
+      opt.metrics_path = value();
     } else if (arg == "--profile") {
       opt.profile_table = true;
     } else if (arg == "--profile-json") {
-      opt.profile_json_path = value("--profile-json");
+      opt.profile_json_path = value();
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else {

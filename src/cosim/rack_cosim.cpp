@@ -235,10 +235,11 @@ void RackCosim::take_sample() {
   for (int s = 0; s < cfg_.fabric.mcms; ++s)
     for (int d = 0; d < cfg_.fabric.mcms; ++d) {
       if (s == d) continue;
-      const double cap = fabric_->direct_capacity(s, d);
-      if (cap <= 0.0) continue;
-      max_u = std::max(max_u, fabric_->allocated(s, d) / cap);
-      sum_u += fabric_->allocated(s, d) / cap;
+      const sim::Quanta cap = fabric_->direct_capacity(s, d);
+      if (cap == 0) continue;
+      const double u = sim::ratio(fabric_->allocated(s, d), cap);
+      max_u = std::max(max_u, u);
+      sum_u += u;
       ++pairs;
     }
   m.set(m_.pair_util_max, max_u);
@@ -398,15 +399,15 @@ void RackCosim::schedule_next_arrival() {
 }
 
 double RackCosim::open_flow_speed(const LiveJob& job, double if_none) const {
-  double requested = 0.0, satisfied = 0.0;
+  sim::Quanta requested = 0, satisfied = 0;
   for (std::size_t i = 0; i < job.flow_ids.size(); ++i) {
     if (!job.flow_open[i]) continue;
     const net::RouteResult& route = engine_.result(job.flow_ids[i]);
     requested += route.requested;
-    satisfied += route.satisfied();
+    satisfied += route.direct + route.indirect;
   }
-  return requested > 0.0
-             ? std::clamp(satisfied / requested, cfg_.min_speed_fraction, 1.0)
+  return requested > 0
+             ? std::clamp(sim::ratio(satisfied, requested), cfg_.min_speed_fraction, 1.0)
              : if_none;
 }
 
@@ -596,7 +597,7 @@ void RackCosim::complete_job(std::uint64_t job_id) {
 
 void RackCosim::close_remote(const JobPlan& plan, bool placed) {
   if (plan.remote_link >= 0 && remote_close_)
-    remote_close_(plan.remote_link, plan.remote_gbps, queue_.now(), placed);
+    remote_close_(plan.remote_link, plan.remote_bw, queue_.now(), placed);
 }
 
 void RackCosim::drain_backlog() {
@@ -744,7 +745,7 @@ void RackCosim::revoke_job(std::uint64_t job_id, const fault::FaultEvent& ev) {
   close_remote(job.plan, /*placed=*/true);
   job.plan.remote_speed_cap = 1.0;
   job.plan.remote_link = -1;
-  job.plan.remote_gbps = 0.0;
+  job.plan.remote_bw = 0;
   if (cfg_.fault.policy == fault::ResiliencePolicy::kKill) {
     ++fstats_.killed;
     if (obs_.trace) obs_.trace->instant(obs::Track::kFaults, "kill", now);

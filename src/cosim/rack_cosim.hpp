@@ -188,6 +188,7 @@ class RackCosim {
   [[nodiscard]] sim::TimePs now() const { return queue_.now(); }
   [[nodiscard]] CosimReport report() const;
   [[nodiscard]] const disagg::RackAllocator& allocator() const { return allocator_; }
+  [[nodiscard]] const net::WavelengthFabric& fabric() const { return *fabric_; }
   [[nodiscard]] double fabric_utilization() const { return engine_.fabric_utilization(); }
   [[nodiscard]] std::uint64_t live_jobs() const { return live_jobs_; }
   [[nodiscard]] std::size_t queued_jobs() const { return backlog_.size(); }
@@ -210,7 +211,7 @@ class RackCosim {
     // --- cluster spill-over tags ---
     double remote_speed_cap = 1.0;  // inter-rack grant / requested Gb/s
     int remote_link = -1;           // InterRackFabric link id; -1 = local
-    double remote_gbps = 0.0;       // reserved inter-rack bandwidth
+    sim::Quanta remote_bw = 0;      // reserved inter-rack bandwidth
 
     /// Training-job plan (src/collectives): inert for HPC jobs (is_ml =
     /// false, all other fields never read), so a rack without `ml.*` runs
@@ -239,7 +240,7 @@ class RackCosim {
   /// revocation (placed = true) or because it could not be admitted at the
   /// target rack either (placed = false — the spill was lost).
   using RemoteCloseHandler =
-      std::function<void(int link, double gbps, sim::TimePs at, bool placed)>;
+      std::function<void(int link, sim::Quanta bw, sim::TimePs at, bool placed)>;
 
   void set_spill_handler(SpillHandler h) { spill_ = std::move(h); }
   void set_remote_close_handler(RemoteCloseHandler h) {

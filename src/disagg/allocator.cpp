@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -42,13 +41,13 @@ RackAllocator::RackAllocator(const rack::RackConfig& rack, AllocationPolicy poli
       nodes_(rack.nodes),
       cpus_per_node_(rack.node.cpus),
       gpus_per_node_(rack.node.gpus),
-      memory_gb_per_node_(memory_gb_per_node),
-      nic_gbps_per_node_(nic_gbps_per_node),
+      memory_per_node_(sim::to_quanta(memory_gb_per_node)),
+      nic_per_node_(sim::to_quanta(nic_gbps_per_node)),
       free_nodes_(rack.nodes) {
   pools_.cpus_total = nodes_ * cpus_per_node_;
   pools_.gpus_total = nodes_ * gpus_per_node_;
-  pools_.memory_gb_total = nodes_ * memory_gb_per_node_;
-  pools_.nic_gbps_total = nodes_ * nic_gbps_per_node_;
+  pools_.memory_total = nodes_ * memory_per_node_;
+  pools_.nic_total = nodes_ * nic_per_node_;
 }
 
 Allocation RackAllocator::allocate(const JobRequest& req) {
@@ -56,51 +55,46 @@ Allocation RackAllocator::allocate(const JobRequest& req) {
   if (req.cpus < 0 || req.gpus < 0 || req.memory_gb < 0 || req.nic_gbps < 0)
     throw std::invalid_argument("allocate: negative request");
   ++counters_.attempts;
+  const sim::Quanta memory = sim::to_quanta(req.memory_gb);
+  const sim::Quanta nic = sim::to_quanta(req.nic_gbps);
 
   if (policy_ == AllocationPolicy::kStaticNodes) {
     // A job gets the smallest node count covering its largest per-resource
     // demand; everything else in those nodes is marooned.
-    int need = 0;
-    need = std::max(need, (req.cpus + cpus_per_node_ - 1) / std::max(1, cpus_per_node_));
-    need = std::max(need, gpus_per_node_ > 0
-                              ? (req.gpus + gpus_per_node_ - 1) / gpus_per_node_
-                              : 0);
-    need = std::max(
-        need, static_cast<int>(std::ceil(req.memory_gb / memory_gb_per_node_)));
-    need = std::max(need,
-                    static_cast<int>(std::ceil(req.nic_gbps / nic_gbps_per_node_)));
-    need = std::max(need, 1);
+    auto nodes_for = [](sim::Quanta want, sim::Quanta per_node) {
+      return per_node > 0 ? static_cast<int>((want + per_node - 1) / per_node) : 0;
+    };
+    const int need = std::max({1, nodes_for(req.cpus, cpus_per_node_),
+                               nodes_for(req.gpus, gpus_per_node_),
+                               nodes_for(memory, memory_per_node_),
+                               nodes_for(nic, nic_per_node_)});
     if (need > free_nodes_) return a;
     free_nodes_ -= need;
     a.placed = true;
     a.nodes = need;
     a.cpus = need * cpus_per_node_;
     a.gpus = need * gpus_per_node_;
-    a.memory_gb = need * memory_gb_per_node_;
-    a.nic_gbps = need * nic_gbps_per_node_;
-    pools_.cpus_used += a.cpus;
-    pools_.gpus_used += a.gpus;
-    pools_.memory_gb_used += a.memory_gb;
-    pools_.nic_gbps_used += a.nic_gbps;
-    a.marooned_cpus = std::max(0.0, static_cast<double>(a.cpus - req.cpus));
-    a.marooned_memory_gb = std::max(0.0, a.memory_gb - req.memory_gb);
+    a.memory = need * memory_per_node_;
+    a.nic = need * nic_per_node_;
+    a.marooned_cpus = std::max(0, a.cpus - req.cpus);
+    a.marooned_memory = std::max<sim::Quanta>(0, a.memory - memory);
     marooned_cpus_ += a.marooned_cpus;
-    marooned_memory_gb_ += a.marooned_memory_gb;
+    marooned_memory_ += a.marooned_memory;
   } else {
     if (req.cpus > pools_.cpus_total - pools_.cpus_used) return a;
     if (req.gpus > pools_.gpus_total - pools_.gpus_used) return a;
-    if (req.memory_gb > pools_.memory_gb_total - pools_.memory_gb_used) return a;
-    if (req.nic_gbps > pools_.nic_gbps_total - pools_.nic_gbps_used) return a;
+    if (memory > pools_.memory_total - pools_.memory_used) return a;
+    if (nic > pools_.nic_total - pools_.nic_used) return a;
     a.placed = true;
     a.cpus = req.cpus;
     a.gpus = req.gpus;
-    a.memory_gb = req.memory_gb;
-    a.nic_gbps = req.nic_gbps;
-    pools_.cpus_used += a.cpus;
-    pools_.gpus_used += a.gpus;
-    pools_.memory_gb_used += a.memory_gb;
-    pools_.nic_gbps_used += a.nic_gbps;
+    a.memory = memory;
+    a.nic = nic;
   }
+  pools_.cpus_used += a.cpus;
+  pools_.gpus_used += a.gpus;
+  pools_.memory_used += a.memory;
+  pools_.nic_used += a.nic;
   ++counters_.placements;
   a.id = next_global_allocation_id();
   live_.emplace(a.id, a);
@@ -126,28 +120,11 @@ void RackAllocator::reclaim(const Allocation& alloc, bool revoked) {
   ++(revoked ? counters_.revocations : counters_.releases);
   pools_.cpus_used -= granted.cpus;
   pools_.gpus_used -= granted.gpus;
-  pools_.memory_gb_used -= granted.memory_gb;
-  pools_.nic_gbps_used -= granted.nic_gbps;
-  if (policy_ == AllocationPolicy::kStaticNodes) {
-    free_nodes_ += granted.nodes;
-    marooned_cpus_ -= granted.marooned_cpus;
-    marooned_memory_gb_ -= granted.marooned_memory_gb;
-  }
-  if (live_.empty()) {
-    // Releasing in a different order than allocating leaves ~1e-16-scale
-    // residue in the floating-point accumulators; an empty allocator must
-    // be *bit-exactly* pristine ("free restores exactly").  Keep the
-    // threshold tight: it must absorb rounding residue only, never mask a
-    // genuine sub-microscopic accounting leak.
-    constexpr double kRoundingEps = 1e-9;
-    auto snap = [](double& v) {
-      if (v > -kRoundingEps && v < kRoundingEps) v = 0.0;
-    };
-    snap(pools_.memory_gb_used);
-    snap(pools_.nic_gbps_used);
-    snap(marooned_cpus_);
-    snap(marooned_memory_gb_);
-  }
+  pools_.memory_used -= granted.memory;
+  pools_.nic_used -= granted.nic;
+  free_nodes_ += granted.nodes;
+  marooned_cpus_ -= granted.marooned_cpus;
+  marooned_memory_ -= granted.marooned_memory;
 }
 
 void RackAllocator::take_nodes_offline(int count) {
@@ -164,8 +141,8 @@ void RackAllocator::take_nodes_offline(int count) {
   free_nodes_ -= count;
   pools_.cpus_total -= count * cpus_per_node_;
   pools_.gpus_total -= count * gpus_per_node_;
-  pools_.memory_gb_total -= count * memory_gb_per_node_;
-  pools_.nic_gbps_total -= count * nic_gbps_per_node_;
+  pools_.memory_total -= count * memory_per_node_;
+  pools_.nic_total -= count * nic_per_node_;
 }
 
 void RackAllocator::bring_nodes_online(int count) {
@@ -177,16 +154,16 @@ void RackAllocator::bring_nodes_online(int count) {
   free_nodes_ += count;
   pools_.cpus_total += count * cpus_per_node_;
   pools_.gpus_total += count * gpus_per_node_;
-  pools_.memory_gb_total += count * memory_gb_per_node_;
-  pools_.nic_gbps_total += count * nic_gbps_per_node_;
+  pools_.memory_total += count * memory_per_node_;
+  pools_.nic_total += count * nic_per_node_;
 }
 
 double RackAllocator::marooned_cpu_fraction() const {
-  return pools_.cpus_total ? marooned_cpus_ / pools_.cpus_total : 0.0;
+  return pools_.cpus_total ? static_cast<double>(marooned_cpus_) / pools_.cpus_total : 0.0;
 }
 
 double RackAllocator::marooned_memory_fraction() const {
-  return pools_.memory_gb_total > 0 ? marooned_memory_gb_ / pools_.memory_gb_total : 0.0;
+  return sim::ratio(marooned_memory_, pools_.memory_total);
 }
 
 }  // namespace photorack::disagg

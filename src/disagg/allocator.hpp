@@ -7,6 +7,7 @@
 
 #include "config/enum_codec.hpp"
 #include "rack/chips.hpp"
+#include "sim/quanta.hpp"
 
 namespace photorack::disagg {
 
@@ -20,25 +21,27 @@ struct JobRequest {
 };
 
 /// What a placement consumed.  For node-granular placement this is whole
-/// nodes; for disaggregated placement it is the exact request.
+/// nodes; for disaggregated placement it is the exact request, with memory
+/// and NIC bandwidth quantized to sim::Quanta (1 kB, 1 kb/s).
 struct Allocation {
   bool placed = false;
   int nodes = 0;  // node-granular only
   int cpus = 0;
   int gpus = 0;
-  double memory_gb = 0.0;
-  double nic_gbps = 0.0;
-  double marooned_cpus = 0.0;       // granted-but-unrequested (static nodes)
-  double marooned_memory_gb = 0.0;
+  sim::Quanta memory = 0;
+  sim::Quanta nic = 0;
+  int marooned_cpus = 0;            // granted-but-unrequested (static nodes)
+  sim::Quanta marooned_memory = 0;
   std::uint64_t id = 0;
 };
 
-/// Aggregate pool state for one rack.
+/// Aggregate pool state for one rack.  Memory and NIC pools are integer
+/// sim::Quanta, so every pool returns exactly to zero once drained.
 struct PoolState {
   int cpus_total = 0, cpus_used = 0;
   int gpus_total = 0, gpus_used = 0;
-  double memory_gb_total = 0, memory_gb_used = 0;
-  double nic_gbps_total = 0, nic_gbps_used = 0;
+  sim::Quanta memory_total = 0, memory_used = 0;
+  sim::Quanta nic_total = 0, nic_used = 0;
 
   [[nodiscard]] double cpu_utilization() const {
     return cpus_total ? static_cast<double>(cpus_used) / cpus_total : 0.0;
@@ -47,11 +50,9 @@ struct PoolState {
     return gpus_total ? static_cast<double>(gpus_used) / gpus_total : 0.0;
   }
   [[nodiscard]] double memory_utilization() const {
-    return memory_gb_total > 0 ? memory_gb_used / memory_gb_total : 0.0;
+    return sim::ratio(memory_used, memory_total);
   }
-  [[nodiscard]] double nic_utilization() const {
-    return nic_gbps_total > 0 ? nic_gbps_used / nic_gbps_total : 0.0;
-  }
+  [[nodiscard]] double nic_utilization() const { return sim::ratio(nic_used, nic_total); }
 };
 
 /// Always-on allocate()/release() call counters.  Plain integer increments
@@ -136,8 +137,8 @@ class RackAllocator {
   int nodes_;
   int cpus_per_node_;
   int gpus_per_node_;
-  double memory_gb_per_node_;
-  double nic_gbps_per_node_;
+  sim::Quanta memory_per_node_;
+  sim::Quanta nic_per_node_;
   int free_nodes_;
   PoolState pools_;
   // Grants not yet released, keyed by id; release() decrements by the
@@ -145,8 +146,8 @@ class RackAllocator {
   std::unordered_map<std::uint64_t, Allocation> live_;
 
   int offline_nodes_ = 0;
-  double marooned_cpus_ = 0.0;
-  double marooned_memory_gb_ = 0.0;
+  int marooned_cpus_ = 0;
+  sim::Quanta marooned_memory_ = 0;
   AllocatorCounters counters_;
 
   void reclaim(const Allocation& alloc, bool revoked);

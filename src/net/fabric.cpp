@@ -14,8 +14,24 @@ WavelengthFabric::WavelengthFabric(int mcms, const rack::AwgrFabricPlan& plan)
   if (mcms <= 0 || mcms > radix_)
     throw std::invalid_argument("WavelengthFabric: MCM count must fit the AWGR radix");
   if (lambdas_.empty()) throw std::invalid_argument("WavelengthFabric: no AWGRs in plan");
-  alloc_.assign(lambdas_.size(),
-                std::vector<double>(static_cast<std::size_t>(mcms_) * mcms_, 0.0));
+  const auto pairs = static_cast<std::size_t>(mcms_) * mcms_;
+  const sim::Quanta healthy = sim::to_quanta(gbps_per_lambda_);
+  alloc_.assign(lambdas_.size(), std::vector<sim::Quanta>(pairs, 0));
+  cap_.assign(pairs, healthy);
+  // Count the covered wavelengths per source, not per pair (a covers() scan
+  // of all N^2 pairs made a 96-MCM rack's setup a third slower): with src,
+  // dst < mcms <= radix, (src + dst) mod radix < lit holds exactly for
+  // dst < lit - src and for radix - src <= dst < radix + lit - src;
+  // covers() excludes src == dst.
+  for (int a = 0; a < parallel_awgrs(); ++a) {
+    const int lit = std::min(lambdas_[static_cast<std::size_t>(a)], radix_);
+    for (int s = 0; s < mcms_; ++s) {
+      const int covered = std::clamp(lit - s, 0, mcms_) +
+                          std::max(0, std::min(mcms_, radix_ + lit - s) - (radix_ - s)) -
+                          ((2 * s) % radix_ < lit ? 1 : 0);
+      cap_total_ += covered * healthy;
+    }
+  }
 }
 
 bool WavelengthFabric::covers(int awgr, int src, int dst) const {
@@ -32,67 +48,54 @@ int WavelengthFabric::direct_lambdas(int src, int dst) const {
   return n;
 }
 
-double WavelengthFabric::direct_capacity(int src, int dst) const {
-  // scale == 1 multiplies by exactly 1.0, so healthy capacity is unchanged
-  // bit for bit.
-  return direct_lambdas(src, dst) * gbps_per_lambda_ * pair_scale(src, dst);
-}
-
-double WavelengthFabric::free_direct(int src, int dst) const {
-  // The scale != 1 branch clamps at zero because reservations made before a
-  // degradation may exceed the reduced capacity; the healthy branch keeps
-  // the historical expression bit for bit (it can carry an epsilon-negative
-  // residue that downstream arithmetic depends on byte-identically).
-  const double scale = pair_scale(src, dst);
-  double free = 0.0;
+sim::Quanta WavelengthFabric::free_direct(int src, int dst) const {
+  // Clamped at zero: reservations made before a degradation may exceed the
+  // reduced capacity.
+  const sim::Quanta cap = cap_[idx(src, dst)];
+  sim::Quanta free = 0;
   for (int a = 0; a < parallel_awgrs(); ++a) {
     if (!covers(a, src, dst)) continue;
-    const double used = alloc_[static_cast<std::size_t>(a)][idx(src, dst)];
-    free += scale == 1.0 ? gbps_per_lambda_ - used
-                         : std::max(0.0, gbps_per_lambda_ * scale - used);
+    free += std::max<sim::Quanta>(0, cap - alloc_[static_cast<std::size_t>(a)][idx(src, dst)]);
   }
   return free;
 }
 
-double WavelengthFabric::allocated(int src, int dst) const {
-  double total = 0.0;
+sim::Quanta WavelengthFabric::allocated(int src, int dst) const {
+  sim::Quanta total = 0;
   for (int a = 0; a < parallel_awgrs(); ++a)
     total += alloc_[static_cast<std::size_t>(a)][idx(src, dst)];
   return total;
 }
 
-double WavelengthFabric::allocate_direct(int src, int dst, double gbps) {
-  const double scale = pair_scale(src, dst);
-  double granted = 0.0;
-  for (int a = 0; a < parallel_awgrs() && gbps > granted; ++a) {
+sim::Quanta WavelengthFabric::allocate_direct(int src, int dst, sim::Quanta want) {
+  const sim::Quanta cap = cap_[idx(src, dst)];
+  sim::Quanta granted = 0;
+  for (int a = 0; a < parallel_awgrs() && want > granted; ++a) {
     if (!covers(a, src, dst)) continue;
     auto& used = alloc_[static_cast<std::size_t>(a)][idx(src, dst)];
-    // Same clamping asymmetry as free_direct: the scaled wavelength may
-    // already hold more than its reduced capacity, which must grant zero,
-    // never a negative take.
-    const double avail = scale == 1.0
-                             ? gbps_per_lambda_ - used
-                             : std::max(0.0, gbps_per_lambda_ * scale - used);
-    const double take = std::min(gbps - granted, avail);
+    const sim::Quanta take = std::min(want - granted, std::max<sim::Quanta>(0, cap - used));
     used += take;
     granted += take;
   }
+  used_total_ += granted;
   return granted;
 }
 
-void WavelengthFabric::release_direct(int src, int dst, double gbps) {
-  for (int a = 0; a < parallel_awgrs() && gbps > 0.0; ++a) {
+void WavelengthFabric::release_direct(int src, int dst, sim::Quanta amount) {
+  if (amount > allocated(src, dst))
+    throw std::logic_error("release_direct: released more than allocated");
+  used_total_ -= amount;
+  for (int a = 0; a < parallel_awgrs() && amount > 0; ++a) {
     if (!covers(a, src, dst)) continue;
     auto& used = alloc_[static_cast<std::size_t>(a)][idx(src, dst)];
-    const double give = std::min(gbps, used);
+    const sim::Quanta give = std::min(amount, used);
     used -= give;
-    gbps -= give;
+    amount -= give;
   }
-  if (gbps > 1e-9) throw std::logic_error("release_direct: released more than allocated");
 }
 
-std::vector<double> WavelengthFabric::allocation_snapshot() const {
-  std::vector<double> snapshot;
+std::vector<sim::Quanta> WavelengthFabric::allocation_snapshot() const {
+  std::vector<sim::Quanta> snapshot;
   snapshot.reserve(alloc_.size() * static_cast<std::size_t>(mcms_) * mcms_);
   for (const auto& table : alloc_) {
     snapshot.insert(snapshot.end(), table.begin(), table.end());
@@ -100,71 +103,45 @@ std::vector<double> WavelengthFabric::allocation_snapshot() const {
   return snapshot;
 }
 
-double WavelengthFabric::utilization() const {
-  double cap = 0.0, used = 0.0;
-  for (int a = 0; a < parallel_awgrs(); ++a) {
-    for (int s = 0; s < mcms_; ++s) {
-      for (int d = 0; d < mcms_; ++d) {
-        if (!covers(a, s, d)) continue;
-        const double scale = pair_scale(s, d);
-        cap += scale == 1.0 ? gbps_per_lambda_ : gbps_per_lambda_ * scale;
-        used += alloc_[static_cast<std::size_t>(a)][idx(s, d)];
-      }
-    }
-  }
-  return cap > 0.0 ? used / cap : 0.0;
-}
-
-void WavelengthFabric::check_pair(int src, int dst, double value,
+void WavelengthFabric::check_pair(int src, int dst, double factor,
                                   const char* who) const {
   if (src == dst || src < 0 || dst < 0 || src >= mcms_ || dst >= mcms_)
     throw std::invalid_argument(std::string(who) + ": bad pair");
-  if (value < 0.0 || value > 1.0)
+  if (factor < 0.0 || factor > 1.0)
     throw std::invalid_argument(std::string(who) + ": value must be in [0,1]");
 }
 
-void WavelengthFabric::recompute_scale(int src, int dst) {
-  // Product over a value-sorted copy: the effective scale depends only on
-  // the SET of live factors, never on push order, so two fault histories
-  // that leave the same faults active read identical capacity bits.  No
-  // factors multiplies nothing into 1.0 — the exact healthy scale.
-  std::vector<double> live = factors_[idx(src, dst)];
+void WavelengthFabric::recompute_capacity(int src, int dst) {
+  // Product over a value-sorted copy: the capacity depends only on the SET
+  // of live factors, never on push order, so two fault histories that leave
+  // the same faults active read identical capacity.  No factors multiplies
+  // nothing into 1.0 — the exact healthy capacity.
+  std::vector<double> live;
+  if (const auto it = factors_.find(idx(src, dst)); it != factors_.end()) live = it->second;
   std::sort(live.begin(), live.end());
   double scale = 1.0;
   for (const double f : live) scale *= f;
-  scale_[idx(src, dst)] = scale;
+  const sim::Quanta before = direct_capacity(src, dst);
+  cap_[idx(src, dst)] = sim::to_quanta(gbps_per_lambda_ * scale);
+  cap_total_ += direct_capacity(src, dst) - before;
 }
 
 void WavelengthFabric::push_pair_factor(int src, int dst, double factor) {
   check_pair(src, dst, factor, "push_pair_factor");
-  if (scale_.empty())
-    scale_.assign(static_cast<std::size_t>(mcms_) * mcms_, 1.0);
-  if (factors_.empty())
-    factors_.assign(static_cast<std::size_t>(mcms_) * mcms_, {});
   factors_[idx(src, dst)].push_back(factor);
-  recompute_scale(src, dst);
+  recompute_capacity(src, dst);
 }
 
 void WavelengthFabric::pop_pair_factor(int src, int dst, double factor) {
   check_pair(src, dst, factor, "pop_pair_factor");
-  if (factors_.empty())
-    throw std::logic_error("pop_pair_factor: no factors live on the fabric");
-  auto& live = factors_[idx(src, dst)];
-  const auto it = std::find(live.begin(), live.end(), factor);
-  if (it == live.end())
+  const auto pair = factors_.find(idx(src, dst));
+  if (pair == factors_.end() ||
+      std::find(pair->second.begin(), pair->second.end(), factor) == pair->second.end())
     throw std::logic_error("pop_pair_factor: factor not live on this pair");
-  live.erase(it);
-  recompute_scale(src, dst);
-}
-
-void WavelengthFabric::set_pair_scale(int src, int dst, double scale) {
-  check_pair(src, dst, scale, "set_pair_scale");
-  if (scale_.empty())
-    scale_.assign(static_cast<std::size_t>(mcms_) * mcms_, 1.0);
-  // Absolute override: any composed fault factors on the pair are dropped so
-  // the pair reads exactly `scale` afterwards.
-  if (!factors_.empty()) factors_[idx(src, dst)].clear();
-  scale_[idx(src, dst)] = scale;
+  auto& live = pair->second;
+  live.erase(std::find(live.begin(), live.end(), factor));
+  if (live.empty()) factors_.erase(pair);
+  recompute_capacity(src, dst);
 }
 
 }  // namespace photorack::net

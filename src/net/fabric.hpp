@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "phot/units.hpp"
 #include "rack/rack_builder.hpp"
+#include "sim/quanta.hpp"
 #include "sim/time.hpp"
 
 namespace photorack::net {
@@ -28,8 +30,10 @@ struct FabricSliceConfig {
 /// Each of the `parallel_awgrs` AWGRs dedicates exactly one wavelength to
 /// every (source MCM, destination MCM) pair it covers; a wavelength carries
 /// `gbps_per_wavelength` and may be multiplexed by several flows (§IV-A).
-/// The fabric tracks allocated Gb/s per (awgr, src, dst) and exposes the
-/// occupancy queries that indirect routing needs.
+/// The fabric tracks allocated bandwidth per (awgr, src, dst) in integer
+/// sim::Quanta (1 kb/s), so the ledger is exact: any sequence of allocations
+/// and releases that returns everything reads exactly zero, and the running
+/// used/capacity totals behind utilization() never drift.
 class WavelengthFabric {
  public:
   WavelengthFabric(int mcms, const rack::AwgrFabricPlan& plan);
@@ -46,48 +50,47 @@ class WavelengthFabric {
   /// Number of direct wavelengths between a pair (across all AWGRs).
   [[nodiscard]] int direct_lambdas(int src, int dst) const;
 
-  /// Total / free direct capacity between a pair, in Gb/s.
-  [[nodiscard]] double direct_capacity(int src, int dst) const;
-  [[nodiscard]] double free_direct(int src, int dst) const;
-  [[nodiscard]] double allocated(int src, int dst) const;
+  /// Total / free / allocated direct capacity between a pair.
+  [[nodiscard]] sim::Quanta direct_capacity(int src, int dst) const {
+    return direct_lambdas(src, dst) * cap_[idx(src, dst)];
+  }
+  [[nodiscard]] sim::Quanta free_direct(int src, int dst) const;
+  [[nodiscard]] sim::Quanta allocated(int src, int dst) const;
 
-  /// Reserve up to `gbps` of direct capacity; returns the amount actually
+  /// Reserve up to `want` of direct capacity; returns the amount actually
   /// reserved (fills AWGRs in index order — deterministic).
-  double allocate_direct(int src, int dst, double gbps);
+  sim::Quanta allocate_direct(int src, int dst, sim::Quanta want);
 
-  /// Release previously reserved direct capacity (same ordering).
-  void release_direct(int src, int dst, double gbps);
+  /// Release previously reserved direct capacity (same ordering); throws
+  /// std::logic_error when more is released than the pair holds.
+  void release_direct(int src, int dst, sim::Quanta amount);
 
   /// Flat copy of every AWGR's per-pair allocation table (awgr-major), for
-  /// bit-exact state comparison: a phase loop that opens and then closes a
-  /// flow set must leave this snapshot unchanged.
-  [[nodiscard]] std::vector<double> allocation_snapshot() const;
+  /// exact state comparison: a phase loop that opens and then closes a flow
+  /// set must leave this snapshot unchanged.
+  [[nodiscard]] std::vector<sim::Quanta> allocation_snapshot() const;
 
-  /// Aggregate utilization over all covered pairs.  Normally in [0,1];
-  /// under fault degradation existing reservations may transiently exceed
-  /// the scaled capacity.
-  [[nodiscard]] double utilization() const;
+  /// Allocated over total capacity of every covered pair, from two running
+  /// totals.  Normally in [0,1]; under fault degradation existing
+  /// reservations may transiently exceed the scaled capacity.
+  [[nodiscard]] double utilization() const { return sim::ratio(used_total_, cap_total_); }
 
-  // --- fault hooks (src/fault): per-pair capacity scaling ---
+  // --- fault hooks (src/fault): per-pair capacity factors ---
   //
-  // scale = 1 is healthy, 0 a dead pair (endpoint crash-stop or link cut),
-  // anything between a degraded laser.  Scaling changes CAPACITY only:
-  // free_direct/allocate_direct see `capacity * scale` (clamped at the
-  // already-allocated amount), release_direct still returns exactly what
-  // was reserved.  The scale table is allocated lazily on the first
-  // set_pair_scale call, and every scaled expression collapses to the
-  // historical arithmetic when scale == 1 — a fault-free fabric stays
-  // byte-identical to one built before this hook existed.
-
+  // A factor of 1 is healthy, 0 a dead pair (endpoint crash-stop or link
+  // cut), anything between a degraded laser.  Factors change CAPACITY only:
+  // each of the pair's wavelengths carries `gbps_per_wavelength * scale`
+  // quantized once into the capacity table, free_direct/allocate_direct
+  // clamp at the already-allocated amount, and release_direct still
+  // returns exactly what was reserved.
+  //
   // Faults COMPOSE: several independent faults (an MCM crash, a link cut, a
   // degraded comb laser) can degrade the same directed pair at once, and
-  // each repair must undo exactly its own fault's contribution.  An
-  // absolute setter cannot express that — repairing one fault would clobber
-  // the scale another still-active fault imposed — so each fault pushes a
-  // multiplicative factor and pops the same value on repair.  The effective
-  // scale is the product of the pair's live factors, recomputed in
-  // ascending-value order so it is independent of the push sequence, and an
-  // empty factor list restores exactly 1.0 (bit-exact healthy arithmetic).
+  // each repair must undo exactly its own fault's contribution, so each
+  // fault pushes a multiplicative factor and pops the same value on repair.
+  // The effective scale is the product of the pair's live factors, taken in
+  // ascending-value order so it is independent of the push sequence; an
+  // empty factor list restores exactly the healthy capacity.
 
   /// Contribute one fault's capacity factor to the directed pair; throws
   /// std::invalid_argument outside [0,1] or for a bad pair.
@@ -96,26 +99,20 @@ class WavelengthFabric {
   /// std::logic_error when no such factor is live on the pair.
   void pop_pair_factor(int src, int dst, double factor);
 
-  /// Set the directed pair's capacity multiplier absolutely, dropping any
-  /// pushed factors on the pair; throws std::invalid_argument outside [0,1]
-  /// or for src == dst.  Test/diagnostic hook — fault paths use the
-  /// composable push/pop API above.
-  void set_pair_scale(int src, int dst, double scale);
-  [[nodiscard]] double pair_scale(int src, int dst) const {
-    return scale_.empty() ? 1.0 : scale_[idx(src, dst)];
-  }
-
  private:
   int mcms_;
   int radix_;
   double gbps_per_lambda_;
-  std::vector<int> lambdas_;             // wavelengths per port, per AWGR
-  std::vector<std::vector<double>> alloc_;  // [awgr][src*mcms+dst] allocated Gb/s
-  std::vector<double> scale_;            // per-pair effective multiplier (lazy)
-  std::vector<std::vector<double>> factors_;  // per-pair live fault factors (lazy)
+  std::vector<int> lambdas_;                     // wavelengths per port, per AWGR
+  std::vector<std::vector<sim::Quanta>> alloc_;  // [awgr][src*mcms+dst] allocated
+  std::vector<sim::Quanta> cap_;                 // [src*mcms+dst] per-wavelength capacity
+  // Live fault factors, keyed by src*mcms+dst, for faulted pairs only.
+  std::unordered_map<std::size_t, std::vector<double>> factors_;
+  sim::Quanta used_total_ = 0;                   // sum of alloc_
+  sim::Quanta cap_total_ = 0;                    // sum of cap_ over covered wavelengths
 
-  void check_pair(int src, int dst, double value, const char* who) const;
-  void recompute_scale(int src, int dst);
+  void check_pair(int src, int dst, double factor, const char* who) const;
+  void recompute_capacity(int src, int dst);
 
   [[nodiscard]] std::size_t idx(int src, int dst) const {
     return static_cast<std::size_t>(src) * mcms_ + dst;

@@ -27,23 +27,24 @@ void FlowEngine::refresh_view(sim::TimePs now) {
 
 std::uint64_t FlowEngine::open(const FlowSpec& spec, sim::TimePs now) {
   obs::ScopedTimer timer(obs_.profiler, sc_open_);
-  RouteResult result = router_.route(spec.src, spec.dst, spec.gbps);
+  const sim::Quanta demand = sim::to_quanta(spec.gbps);
+  // No capacity bounds the run-long demand total (which bounds the grant
+  // totals), so it is checked before anything is reserved.
+  sim::Quanta requested_total = 0;
+  if (__builtin_add_overflow(requested_total_, demand, &requested_total))
+    throw std::out_of_range("FlowEngine::open: run-long demand total overflows");
+  RouteResult result = router_.route(spec.src, spec.dst, demand);
   ++flows_;
   if (result.fully_satisfied()) ++fully_satisfied_;
   offered_.add(spec.gbps);
   intermediates_.add(result.intermediates_used);
-  requested_total_ += spec.gbps;
-  satisfied_total_ += result.satisfied();
-  direct_total_ += result.direct_gbps;
-  indirect_total_ += result.indirect_gbps;
+  requested_total_ = requested_total;
+  direct_total_ += result.direct;
+  indirect_total_ += result.indirect;
   peak_util_ = std::max(peak_util_, fabric_->utilization());
   const std::uint64_t id = next_id_++;
-  if (obs_.trace) {
-    // Span endpoints are only known at close; remember the opening here.
-    opened_.emplace(id, OpenedAt{now, spec.gbps,
-                                 spec.gbps > 0.0 ? result.satisfied() / spec.gbps : 1.0,
-                                 spec.src, spec.dst});
-  }
+  // Span endpoints are only known at close; remember the opening here.
+  if (obs_.trace) opened_.emplace(id, OpenedAt{now, spec.src, spec.dst});
   live_.emplace(id, std::move(result));
   return id;
 }
@@ -60,20 +61,22 @@ void FlowEngine::close(std::uint64_t flow_id, sim::TimePs now) {
   if (it == live_.end())
     throw std::out_of_range("FlowEngine: closing unknown flow id " +
                             std::to_string(flow_id));
-  router_.release(it->second);
-  live_.erase(it);
+  const RouteResult& route = it->second;
+  router_.release(route);
   if (obs_.trace) {
     const auto opened = opened_.find(flow_id);
     if (opened != opened_.end()) {
       const OpenedAt& o = opened->second;
-      obs_.trace->complete(obs::Track::kFlows, "flow", o.at, now,
-                           {{"src", static_cast<double>(o.src)},
-                            {"dst", static_cast<double>(o.dst)},
-                            {"gbps", o.gbps},
-                            {"satisfied", o.satisfied}});
+      obs_.trace->complete(
+          obs::Track::kFlows, "flow", o.at, now,
+          {{"src", static_cast<double>(o.src)},
+           {"dst", static_cast<double>(o.dst)},
+           {"gbps", sim::from_quanta(route.requested)},
+           {"satisfied", sim::ratio(route.direct + route.indirect, route.requested, 1.0)}});
       opened_.erase(opened);
     }
   }
+  live_.erase(it);
 }
 
 FlowSimReport FlowEngine::report() const {
@@ -81,11 +84,10 @@ FlowSimReport FlowEngine::report() const {
   report.flows = flows_;
   report.fully_satisfied = fully_satisfied_;
   report.offered_gbps_mean = offered_.mean();
-  report.satisfied_fraction =
-      requested_total_ > 0 ? satisfied_total_ / requested_total_ : 1.0;
-  report.direct_fraction = satisfied_total_ > 0 ? direct_total_ / satisfied_total_ : 0.0;
-  report.indirect_fraction =
-      satisfied_total_ > 0 ? indirect_total_ / satisfied_total_ : 0.0;
+  const sim::Quanta satisfied = direct_total_ + indirect_total_;
+  report.satisfied_fraction = sim::ratio(satisfied, requested_total_, 1.0);
+  report.direct_fraction = sim::ratio(direct_total_, satisfied);
+  report.indirect_fraction = sim::ratio(indirect_total_, satisfied);
   report.stale_mispicks = router_.total_mispicks();
   report.second_hops = router_.total_second_hops();
   report.mean_intermediates = intermediates_.mean();

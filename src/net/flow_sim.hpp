@@ -72,9 +72,10 @@ class FlowEngine {
   /// Refresh the stale piggyback view if `now` passed the next update point.
   void refresh_view(sim::TimePs now);
 
-  /// Route a flow's demand; statistics accrue immediately.  Returns a handle
-  /// for result() / close().  `now` is the caller's sim time, used only for
-  /// trace span endpoints (callers without a clock may leave it 0).
+  /// Route a flow's demand, quantized once to sim::Quanta here; statistics
+  /// accrue immediately.  Returns a handle for result() / close().  `now`
+  /// is the caller's sim time, used only for trace span endpoints (callers
+  /// without a clock may leave it 0).
   std::uint64_t open(const FlowSpec& spec, sim::TimePs now = 0);
   /// Routing outcome of a live flow (throws std::out_of_range for dead ids).
   [[nodiscard]] const RouteResult& result(std::uint64_t flow_id) const;
@@ -92,8 +93,6 @@ class FlowEngine {
   /// per-flow state).
   struct OpenedAt {
     sim::TimePs at = 0;
-    double gbps = 0.0;
-    double satisfied = 0.0;
     int src = 0;
     int dst = 0;
   };
@@ -109,8 +108,7 @@ class FlowEngine {
   std::unordered_map<std::uint64_t, OpenedAt> opened_;  // trace mode only
 
   sim::RunningStats offered_, intermediates_;
-  double requested_total_ = 0.0, satisfied_total_ = 0.0;
-  double direct_total_ = 0.0, indirect_total_ = 0.0;
+  sim::Quanta requested_total_ = 0, direct_total_ = 0, indirect_total_ = 0;
   double peak_util_ = 0.0;
   std::uint64_t flows_ = 0, fully_satisfied_ = 0;
 };

@@ -4,7 +4,7 @@ namespace photorack::net {
 
 PiggybackView::PiggybackView(const WavelengthFabric& fabric, sim::TimePs update_interval)
     : fabric_(&fabric), interval_(update_interval) {
-  snapshot_.assign(static_cast<std::size_t>(fabric.mcms()) * fabric.mcms(), 0.0);
+  snapshot_.assign(static_cast<std::size_t>(fabric.mcms()) * fabric.mcms(), 0);
   take_snapshot();
 }
 
@@ -15,7 +15,7 @@ void PiggybackView::take_snapshot() {
       snapshot_[static_cast<std::size_t>(s) * n + d] = fabric_->free_direct(s, d);
 }
 
-double PiggybackView::stale_free_direct(int src, int dst) const {
+sim::Quanta PiggybackView::stale_free_direct(int src, int dst) const {
   return snapshot_[static_cast<std::size_t>(src) * fabric_->mcms() + dst];
 }
 

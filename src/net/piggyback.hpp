@@ -21,7 +21,7 @@ class PiggybackView {
   PiggybackView(const WavelengthFabric& fabric, sim::TimePs update_interval);
 
   /// Free direct capacity src->dst as of the last refresh.
-  [[nodiscard]] double stale_free_direct(int src, int dst) const;
+  [[nodiscard]] sim::Quanta stale_free_direct(int src, int dst) const;
 
   /// Refresh if `now` has passed the next update point.  Returns true when a
   /// refresh happened (counted as one broadcast round).
@@ -42,7 +42,7 @@ class PiggybackView {
   sim::TimePs interval_;
   sim::TimePs last_refresh_ = 0;
   std::uint64_t rounds_ = 0;
-  std::vector<double> snapshot_;  // [src*mcms+dst] free Gb/s at last refresh
+  std::vector<sim::Quanta> snapshot_;  // [src*mcms+dst] free capacity at last refresh
 
   void take_snapshot();
 };

@@ -5,6 +5,7 @@
 
 #include "net/fabric.hpp"
 #include "net/piggyback.hpp"
+#include "sim/quanta.hpp"
 #include "sim/rng.hpp"
 
 namespace photorack::net {
@@ -13,22 +14,24 @@ namespace photorack::net {
 struct PathSegment {
   int from = 0;
   int to = 0;
-  double gbps = 0.0;
+  sim::Quanta bw = 0;
 };
 
-/// Outcome of routing one flow demand.
+/// Outcome of routing one flow demand.  Bandwidth fields are integer
+/// sim::Quanta, so requested == direct + indirect + blocked holds exactly.
 struct RouteResult {
-  double requested = 0.0;
-  double direct_gbps = 0.0;    // satisfied on src->dst wavelengths
-  double indirect_gbps = 0.0;  // satisfied via intermediates
-  double blocked_gbps = 0.0;   // could not be placed
+  sim::Quanta requested = 0;
+  sim::Quanta direct = 0;    // satisfied on src->dst wavelengths
+  sim::Quanta indirect = 0;  // satisfied via intermediates
+  sim::Quanta blocked = 0;   // could not be placed
   int intermediates_used = 0;
   int stale_mispicks = 0;      // stale view chose a busy mid->dst leg
   int second_hops = 0;         // recovered by a second intermediate
   std::vector<PathSegment> segments;  // all reservations, for release()
 
-  [[nodiscard]] double satisfied() const { return direct_gbps + indirect_gbps; }
-  [[nodiscard]] bool fully_satisfied() const { return blocked_gbps <= 1e-9; }
+  /// Satisfied bandwidth in Gb/s.
+  [[nodiscard]] double satisfied() const { return sim::from_quanta(direct + indirect); }
+  [[nodiscard]] bool fully_satisfied() const { return blocked == 0; }
 };
 
 /// Distributed Valiant-style indirect routing over the AWGR fabric (§IV-A,
@@ -37,23 +40,18 @@ struct RouteResult {
 /// else's.  Indirect paths are considered only when direct bandwidth does
 /// not suffice; candidates are intermediates with a free src->mid wavelength
 /// (true state) and a free mid->dst wavelength (stale state); one candidate
-/// is chosen uniformly at random (Valiant).  A stale mis-pick is repaired by
+/// is chosen uniformly at random (Valiant), at most
+/// kMaxIntermediatesPerFlow times per flow.  A stale mis-pick is repaired by
 /// the intermediate routing through a second intermediate using its own
 /// current view; flows are pinned to their segments to preserve ordering.
-struct RouterConfig {
-  int max_intermediates_per_flow = 64;
-  bool allow_second_hop = true;
-};
-
 class IndirectRouter {
  public:
-  using Config = RouterConfig;
+  static constexpr int kMaxIntermediatesPerFlow = 64;
 
-  IndirectRouter(WavelengthFabric& fabric, PiggybackView& view, std::uint64_t seed,
-                 Config cfg = {});
+  IndirectRouter(WavelengthFabric& fabric, PiggybackView& view, std::uint64_t seed);
 
-  /// Reserve capacity for a flow of `gbps` from src to dst.
-  [[nodiscard]] RouteResult route(int src, int dst, double gbps);
+  /// Reserve capacity for a flow of `demand` from src to dst.
+  [[nodiscard]] RouteResult route(int src, int dst, sim::Quanta demand);
 
   /// Release every segment of a previous RouteResult.
   void release(const RouteResult& result);
@@ -67,14 +65,13 @@ class IndirectRouter {
   WavelengthFabric* fabric_;
   PiggybackView* view_;
   sim::Rng rng_;
-  Config cfg_;
   std::uint64_t flows_ = 0;
   std::uint64_t mispicks_ = 0;
   std::uint64_t second_hops_ = 0;
 
-  /// Reserve up to `gbps` via one Valiant-chosen intermediate; returns the
+  /// Reserve up to `want` via one Valiant-chosen intermediate; returns the
   /// amount placed and appends segments.
-  double try_indirect(int src, int dst, double gbps, RouteResult& out);
+  sim::Quanta try_indirect(int src, int dst, sim::Quanta want, RouteResult& out);
 };
 
 }  // namespace photorack::net

@@ -14,8 +14,8 @@ TEST(Allocator, StaticGrantsWholeNodes) {
   EXPECT_TRUE(a.placed);
   EXPECT_EQ(a.nodes, 1);
   EXPECT_EQ(a.gpus, 4);              // whole node granted
-  EXPECT_DOUBLE_EQ(a.memory_gb, 256.0);
-  EXPECT_DOUBLE_EQ(a.marooned_memory_gb, 246.0);
+  EXPECT_EQ(a.memory, sim::to_quanta(256.0));
+  EXPECT_EQ(a.marooned_memory, sim::to_quanta(246.0));
 }
 
 TEST(Allocator, StaticSizesByLargestDemand) {
@@ -48,8 +48,9 @@ TEST(Allocator, DisaggregatedTakesExactAmounts) {
   EXPECT_TRUE(a.placed);
   EXPECT_EQ(a.cpus, 3);
   EXPECT_EQ(a.gpus, 2);
-  EXPECT_DOUBLE_EQ(a.memory_gb, 100.0);
-  EXPECT_DOUBLE_EQ(a.marooned_memory_gb, 0.0);
+  EXPECT_EQ(a.memory, sim::to_quanta(100.0));
+  EXPECT_EQ(a.nic, sim::to_quanta(50.0));
+  EXPECT_EQ(a.marooned_memory, 0);
 }
 
 TEST(Allocator, DisaggregatedPoolLimits) {
@@ -71,7 +72,7 @@ TEST(Allocator, ReleaseRestoresPools) {
   const auto a = alloc.allocate(req);
   alloc.release(a);
   EXPECT_EQ(alloc.pools().cpus_used, 0);
-  EXPECT_DOUBLE_EQ(alloc.pools().memory_gb_used, 0.0);
+  EXPECT_EQ(alloc.pools().memory_used, 0);
 }
 
 TEST(Allocator, StaticReleaseRestoresNodesAndMarooning) {

@@ -29,26 +29,26 @@ void expect_pools_within_capacity(const RackAllocator& alloc, int nodes) {
   EXPECT_LE(pools.cpus_used, pools.cpus_total);
   EXPECT_GE(pools.gpus_used, 0);
   EXPECT_LE(pools.gpus_used, pools.gpus_total);
-  EXPECT_GE(pools.memory_gb_used, -1e-9);
-  EXPECT_LE(pools.memory_gb_used, pools.memory_gb_total + 1e-9);
-  EXPECT_GE(pools.nic_gbps_used, -1e-9);
-  EXPECT_LE(pools.nic_gbps_used, pools.nic_gbps_total + 1e-9);
+  EXPECT_GE(pools.memory_used, 0);
+  EXPECT_LE(pools.memory_used, pools.memory_total);
+  EXPECT_GE(pools.nic_used, 0);
+  EXPECT_LE(pools.nic_used, pools.nic_total);
   EXPECT_GE(alloc.free_nodes(), 0);
   EXPECT_LE(alloc.free_nodes(), nodes);
-  EXPECT_GE(alloc.marooned_cpu_fraction(), -1e-12);
-  EXPECT_LE(alloc.marooned_cpu_fraction(), 1.0 + 1e-12);
-  EXPECT_GE(alloc.marooned_memory_fraction(), -1e-12);
-  EXPECT_LE(alloc.marooned_memory_fraction(), 1.0 + 1e-12);
+  EXPECT_GE(alloc.marooned_cpu_fraction(), 0.0);
+  EXPECT_LE(alloc.marooned_cpu_fraction(), 1.0);
+  EXPECT_GE(alloc.marooned_memory_fraction(), 0.0);
+  EXPECT_LE(alloc.marooned_memory_fraction(), 1.0);
 }
 
 void expect_pools_empty(const RackAllocator& alloc, int nodes) {
   EXPECT_EQ(alloc.pools().cpus_used, 0);
   EXPECT_EQ(alloc.pools().gpus_used, 0);
-  EXPECT_NEAR(alloc.pools().memory_gb_used, 0.0, 1e-6);
-  EXPECT_NEAR(alloc.pools().nic_gbps_used, 0.0, 1e-6);
+  EXPECT_EQ(alloc.pools().memory_used, 0);
+  EXPECT_EQ(alloc.pools().nic_used, 0);
   EXPECT_EQ(alloc.free_nodes(), nodes);
-  EXPECT_DOUBLE_EQ(alloc.marooned_cpu_fraction(), 0.0);
-  EXPECT_DOUBLE_EQ(alloc.marooned_memory_fraction(), 0.0);
+  EXPECT_EQ(alloc.marooned_cpu_fraction(), 0.0);
+  EXPECT_EQ(alloc.marooned_memory_fraction(), 0.0);
   EXPECT_EQ(alloc.live_allocations(), 0u);
 }
 
@@ -112,18 +112,18 @@ TEST_P(AllocatorProperties, AccountingMatchesSumOfLiveAllocations) {
       live.pop_back();
     }
     long long cpus = 0, gpus = 0, nodes = 0;
-    double mem = 0.0, nic = 0.0;
+    sim::Quanta mem = 0, nic = 0;
     for (const Allocation& a : live) {
       cpus += a.cpus;
       gpus += a.gpus;
       nodes += a.nodes;
-      mem += a.memory_gb;
-      nic += a.nic_gbps;
+      mem += a.memory;
+      nic += a.nic;
     }
     ASSERT_EQ(alloc.pools().cpus_used, cpus) << "op " << op;
     ASSERT_EQ(alloc.pools().gpus_used, gpus) << "op " << op;
-    ASSERT_NEAR(alloc.pools().memory_gb_used, mem, 1e-6) << "op " << op;
-    ASSERT_NEAR(alloc.pools().nic_gbps_used, nic, 1e-6) << "op " << op;
+    ASSERT_EQ(alloc.pools().memory_used, mem) << "op " << op;
+    ASSERT_EQ(alloc.pools().nic_used, nic) << "op " << op;
     ASSERT_EQ(alloc.free_nodes(), rack.nodes - nodes) << "op " << op;
   }
 }
@@ -149,8 +149,8 @@ TEST_P(AllocatorProperties, DoubleFreeIsRejectedWithoutCorruption) {
   EXPECT_THROW(alloc.release(once), std::logic_error);
   EXPECT_EQ(alloc.pools().cpus_used, after_release.cpus_used);
   EXPECT_EQ(alloc.pools().gpus_used, after_release.gpus_used);
-  EXPECT_DOUBLE_EQ(alloc.pools().memory_gb_used, after_release.memory_gb_used);
-  EXPECT_DOUBLE_EQ(alloc.pools().nic_gbps_used, after_release.nic_gbps_used);
+  EXPECT_EQ(alloc.pools().memory_used, after_release.memory_used);
+  EXPECT_EQ(alloc.pools().nic_used, after_release.nic_used);
 
   // A still-live allocation releases fine after the rejected double free.
   if (keep.placed) alloc.release(keep);
@@ -191,12 +191,12 @@ TEST_P(AllocatorProperties, MutatedHandleReleasesExactlyTheStoredGrant) {
   ASSERT_TRUE(a.placed);
   Allocation mutated = a;
   mutated.cpus = 1'000'000;
-  mutated.memory_gb = 10'000.0;  // caller corruption, silently ignored
-  mutated.marooned_cpus = 1e9;
+  mutated.memory = sim::to_quanta(10'000.0);  // caller corruption, silently ignored
+  mutated.marooned_cpus = 1'000'000'000;
   alloc.release(mutated);
   EXPECT_EQ(alloc.pools().cpus_used, 0);
-  EXPECT_DOUBLE_EQ(alloc.pools().memory_gb_used, 0.0);
-  EXPECT_DOUBLE_EQ(alloc.marooned_cpu_fraction(), 0.0);
+  EXPECT_EQ(alloc.pools().memory_used, 0);
+  EXPECT_EQ(alloc.marooned_cpu_fraction(), 0.0);
   EXPECT_EQ(alloc.live_allocations(), 0u);
   // The id is spent: the original handle is now a double free.
   EXPECT_THROW(alloc.release(a), std::logic_error);
@@ -280,8 +280,8 @@ TEST_P(AllocatorProperties, DoubleRevokeAndRevokeAfterReleaseThrowPreMutation) {
   EXPECT_THROW(alloc.release(revoked_once), std::logic_error);
   EXPECT_EQ(alloc.pools().cpus_used, settled.cpus_used);
   EXPECT_EQ(alloc.pools().gpus_used, settled.gpus_used);
-  EXPECT_DOUBLE_EQ(alloc.pools().memory_gb_used, settled.memory_gb_used);
-  EXPECT_DOUBLE_EQ(alloc.pools().nic_gbps_used, settled.nic_gbps_used);
+  EXPECT_EQ(alloc.pools().memory_used, settled.memory_used);
+  EXPECT_EQ(alloc.pools().nic_used, settled.nic_used);
   EXPECT_EQ(alloc.counters().revocations, revocations);
   EXPECT_EQ(alloc.counters().releases, releases);
   EXPECT_EQ(alloc.live_allocations(), 0u);
@@ -302,15 +302,15 @@ TEST_P(AllocatorProperties, OfflineNodesShrinkPoolsAndComeBackExactly) {
   EXPECT_EQ(alloc.free_nodes(), rack.nodes - 3);
   EXPECT_EQ(alloc.pools().cpus_total, pristine.cpus_total - 3 * rack.node.cpus);
   EXPECT_EQ(alloc.pools().gpus_total, pristine.gpus_total - 3 * rack.node.gpus);
-  EXPECT_LT(alloc.pools().memory_gb_total, pristine.memory_gb_total);
+  EXPECT_LT(alloc.pools().memory_total, pristine.memory_total);
 
   alloc.bring_nodes_online(3);
   EXPECT_EQ(alloc.offline_nodes(), 0);
   EXPECT_EQ(alloc.free_nodes(), rack.nodes);
   EXPECT_EQ(alloc.pools().cpus_total, pristine.cpus_total);
   EXPECT_EQ(alloc.pools().gpus_total, pristine.gpus_total);
-  EXPECT_DOUBLE_EQ(alloc.pools().memory_gb_total, pristine.memory_gb_total);
-  EXPECT_DOUBLE_EQ(alloc.pools().nic_gbps_total, pristine.nic_gbps_total);
+  EXPECT_EQ(alloc.pools().memory_total, pristine.memory_total);
+  EXPECT_EQ(alloc.pools().nic_total, pristine.nic_total);
 
   // Bounds are enforced: cannot repair more than failed, nor fail more than
   // exist.

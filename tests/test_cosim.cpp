@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -136,15 +138,59 @@ TEST(Cosim, ClosedLoopStretchBoundedByFloor) {
   EXPECT_LE(report.max_stretch, 1.0 / cfg.min_speed_fraction + 1e-12);
 }
 
-TEST(Cosim, EverythingDrainsAfterFinish) {
-  RackCosim sim({}, disagg::AllocationPolicy::kDisaggregated,
-                workloads::UsageModel::cori(), quick(8.0));
-  sim.finish();
+// A drained rack holds exactly nothing: the fabric, pool and marooned
+// ledgers are integer, so releasing in any order leaves no residue.
+void expect_drained_exactly(const RackCosim& sim) {
   EXPECT_EQ(sim.live_jobs(), 0u);
+  EXPECT_EQ(sim.queued_jobs(), 0u);
   EXPECT_EQ(sim.allocator().live_allocations(), 0u);
-  EXPECT_EQ(sim.allocator().pools().cpus_used, 0);
-  EXPECT_NEAR(sim.allocator().pools().memory_gb_used, 0.0, 1e-9);
-  EXPECT_NEAR(sim.fabric_utilization(), 0.0, 1e-12);
+  const auto& pools = sim.allocator().pools();
+  EXPECT_EQ(pools.cpus_used, 0);
+  EXPECT_EQ(pools.gpus_used, 0);
+  EXPECT_EQ(pools.memory_used, 0);
+  EXPECT_EQ(pools.nic_used, 0);
+  EXPECT_EQ(sim.allocator().marooned_cpu_fraction(), 0.0);
+  EXPECT_EQ(sim.allocator().marooned_memory_fraction(), 0.0);
+  EXPECT_EQ(sim.fabric_utilization(), 0.0);
+  const auto snapshot = sim.fabric().allocation_snapshot();
+  EXPECT_EQ(std::count(snapshot.begin(), snapshot.end(), sim::Quanta{0}),
+            static_cast<std::ptrdiff_t>(snapshot.size()));
+}
+
+TEST(Cosim, EverythingDrainsAfterFinish) {
+  for (const auto policy :
+       {disagg::AllocationPolicy::kDisaggregated, disagg::AllocationPolicy::kStaticNodes}) {
+    RackCosim sim({}, policy, workloads::UsageModel::cori(), quick(8.0));
+    sim.finish();
+    expect_drained_exactly(sim);
+  }
+}
+
+// The same exact drain with every optional subsystem on: training jobs
+// running collectives next to HPC jobs, under a fault timeline that
+// degrades, cuts and restores wavelength pairs while flows hold them.
+TEST(Cosim, EverythingDrainsAfterFinishWithMlAndFaults) {
+  auto cfg = quick(6.0);
+  cfg.admission = AdmissionPolicy::kQueue;
+  cfg.ml.enabled = true;
+  cfg.ml.mix_fraction = 0.3;
+  cfg.ml.accelerators = 8;
+  cfg.ml.gradient_mb = 8.0;
+  cfg.ml.steps = 2;
+  cfg.ml.compute_ms = 1.0;
+  cfg.fault.enabled = true;
+  cfg.fault.policy = fault::ResiliencePolicy::kRequeue;
+  cfg.fault.mcm_mtbf_ms = 40.0;
+  cfg.fault.node_mtbf_ms = 120.0;
+  cfg.fault.link_mtbf_ms = 40.0;
+  cfg.fault.laser_mtbf_ms = 40.0;
+  RackCosim sim({}, disagg::AllocationPolicy::kDisaggregated,
+                workloads::UsageModel::cori(), cfg);
+  sim.finish();
+  const auto report = sim.report();
+  ASSERT_GT(report.ml.steps, 0u);
+  ASSERT_GT(report.fault.interrupted, 0u);
+  expect_drained_exactly(sim);
 }
 
 TEST(Cosim, StepwiseAdvanceMatchesRunToCompletion) {

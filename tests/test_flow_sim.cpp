@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "rack/rack_builder.hpp"
@@ -59,8 +60,9 @@ TEST(FlowSim, FabricIsCleanAfterRun) {
   FlowSimulator sim_inst(fabric, cori_generator(), cfg);
   (void)sim_inst.run();
   // All flows departed (the queue drained), so every reservation was
-  // released.
-  EXPECT_NEAR(fabric.utilization(), 0.0, 1e-12);
+  // released, exactly.
+  EXPECT_EQ(fabric.utilization(), 0.0);
+  for (const sim::Quanta used : fabric.allocation_snapshot()) ASSERT_EQ(used, 0);
 }
 
 TEST(FlowSim, DeterministicForSeed) {
@@ -126,7 +128,7 @@ TEST(FlowEngine, OpenReservesAndCloseReleases) {
   EXPECT_GT(engine.result(id).satisfied(), 0.0);
   engine.close(id);
   EXPECT_EQ(engine.live_flows(), 0u);
-  EXPECT_NEAR(engine.fabric_utilization(), 0.0, 1e-12);
+  EXPECT_EQ(engine.fabric_utilization(), 0.0);
 }
 
 TEST(FlowEngine, DeadFlowIdsAreRejected) {
@@ -158,6 +160,33 @@ TEST(FlowEngine, ReportAccumulatesAcrossOpens) {
   EXPECT_DOUBLE_EQ(report.offered_gbps_mean, 20.0);
   EXPECT_GT(report.satisfied_fraction, 0.99);
   EXPECT_GT(report.peak_utilization, 0.0);
+}
+
+// A demand beyond the fixed-point ledger's range (here from a huge traffic
+// scale) is rejected where it is quantized, before anything is reserved,
+// instead of overflowing the integer conversion; so is a run-long demand
+// total that would overflow.
+TEST(FlowEngine, OutOfRangeDemandIsRejectedBeforeReserving) {
+  auto fabric = make_fabric();
+  FlowEngine engine(fabric, 1 * sim::kPsPerUs, /*router_seed=*/3);
+  FlowSpec spec;
+  spec.src = 4;
+  spec.dst = 5;
+  for (double gbps : {1e14, -1e14, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()}) {
+    spec.gbps = gbps;
+    EXPECT_THROW(engine.open(spec), std::out_of_range) << gbps;
+  }
+  EXPECT_EQ(engine.live_flows(), 0u);
+  EXPECT_EQ(engine.report().flows, 0u);
+  EXPECT_EQ(engine.fabric_utilization(), 0.0);
+
+  spec.gbps = 9e9;  // 9e15 quanta, just inside kMaxQuanta
+  std::size_t opened = 0;
+  EXPECT_THROW(
+      for (;; ++opened) engine.open(spec), std::out_of_range);
+  EXPECT_EQ(opened, 1024u);  // 1025 x 9e15 quanta overflows the int64 total
+  EXPECT_EQ(engine.live_flows(), opened);
 }
 
 TEST(FlowSim, HeavyElephantsForceIndirectRouting) {

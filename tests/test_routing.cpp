@@ -7,6 +7,8 @@
 namespace photorack::net {
 namespace {
 
+constexpr sim::Quanta q(double gbps) { return sim::to_quanta(gbps); }
+
 struct Rig {
   WavelengthFabric fabric;
   PiggybackView view;
@@ -20,25 +22,25 @@ struct Rig {
 
 TEST(Routing, SmallDemandGoesDirect) {
   Rig rig;
-  const auto result = rig.router.route(10, 20, 25.0);
+  const auto result = rig.router.route(10, 20, q(25.0));
   EXPECT_TRUE(result.fully_satisfied());
-  EXPECT_DOUBLE_EQ(result.direct_gbps, 25.0);
+  EXPECT_EQ(result.direct, q(25.0));
   EXPECT_EQ(result.intermediates_used, 0);
 }
 
 TEST(Routing, DirectBudgetIs125Gbps) {
   Rig rig;
-  const auto result = rig.router.route(10, 20, 125.0);
+  const auto result = rig.router.route(10, 20, q(125.0));
   EXPECT_TRUE(result.fully_satisfied());
-  EXPECT_GE(result.direct_gbps, 125.0);
+  EXPECT_GE(result.direct, q(125.0));
   EXPECT_EQ(result.intermediates_used, 0);
 }
 
 TEST(Routing, LargeDemandSpillsToIndirect) {
   Rig rig;
-  const auto result = rig.router.route(10, 20, 500.0);
+  const auto result = rig.router.route(10, 20, q(500.0));
   EXPECT_TRUE(result.fully_satisfied());
-  EXPECT_GT(result.indirect_gbps, 0.0);
+  EXPECT_GT(result.indirect, 0);
   EXPECT_GT(result.intermediates_used, 0);
 }
 
@@ -46,7 +48,7 @@ TEST(Routing, FullEscapeBandwidthReachable) {
   // Section VI-A case (A): one MCM can aim its whole escape bandwidth at a
   // single destination using indirect routing alone.
   Rig rig;
-  const auto result = rig.router.route(10, 20, 8000.0);
+  const auto result = rig.router.route(10, 20, q(8000.0));
   EXPECT_GT(result.satisfied(), 7000.0);
 }
 
@@ -55,25 +57,25 @@ TEST(Routing, ConservationOfSegments) {
   // + 1x indirect (mid->dst) + second-hop legs; releasing restores an idle
   // fabric exactly.
   Rig rig;
-  const auto r1 = rig.router.route(1, 2, 700.0);
-  const auto r2 = rig.router.route(3, 2, 400.0);
+  const auto r1 = rig.router.route(1, 2, q(700.0));
+  const auto r2 = rig.router.route(3, 2, q(400.0));
   rig.router.release(r1);
   rig.router.release(r2);
-  EXPECT_NEAR(rig.fabric.utilization(), 0.0, 1e-12);
+  EXPECT_EQ(rig.fabric.utilization(), 0.0);
 }
 
 TEST(Routing, SegmentsAccountForSatisfiedBandwidth) {
   Rig rig;
-  const auto result = rig.router.route(5, 6, 300.0);
-  double into_dst = 0.0;
+  const auto result = rig.router.route(5, 6, q(300.0));
+  sim::Quanta into_dst = 0;
   for (const auto& seg : result.segments)
-    if (seg.to == 6) into_dst += seg.gbps;
-  EXPECT_NEAR(into_dst, result.satisfied(), 1e-9);
+    if (seg.to == 6) into_dst += seg.bw;
+  EXPECT_EQ(into_dst, result.direct + result.indirect);
 }
 
 TEST(Routing, NoSegmentTouchesSourceAsDestination) {
   Rig rig;
-  const auto result = rig.router.route(5, 6, 2000.0);
+  const auto result = rig.router.route(5, 6, q(2000.0));
   for (const auto& seg : result.segments) {
     EXPECT_NE(seg.to, 5);
     EXPECT_NE(seg.from, 6);
@@ -82,10 +84,10 @@ TEST(Routing, NoSegmentTouchesSourceAsDestination) {
 
 TEST(Routing, DeterministicForSeed) {
   Rig a(77), b(77);
-  const auto ra = a.router.route(8, 9, 1000.0);
-  const auto rb = b.router.route(8, 9, 1000.0);
-  EXPECT_DOUBLE_EQ(ra.direct_gbps, rb.direct_gbps);
-  EXPECT_DOUBLE_EQ(ra.indirect_gbps, rb.indirect_gbps);
+  const auto ra = a.router.route(8, 9, q(1000.0));
+  const auto rb = b.router.route(8, 9, q(1000.0));
+  EXPECT_EQ(ra.direct, rb.direct);
+  EXPECT_EQ(ra.indirect, rb.indirect);
   EXPECT_EQ(ra.segments.size(), rb.segments.size());
 }
 
@@ -98,11 +100,11 @@ TEST(Routing, StaleViewTriggersSecondHop) {
     if (mid == 100 || mid == 200) continue;
     rig.fabric.allocate_direct(mid, 200, rig.fabric.direct_capacity(mid, 200));
   }
-  const auto result = rig.router.route(100, 200, 500.0);
+  const auto result = rig.router.route(100, 200, q(500.0));
   EXPECT_GT(result.stale_mispicks, 0);
   // Everything beyond the direct 125 Gb/s needed repair, and repair paths
   // into 200 are saturated too — so blocked bandwidth appears.
-  EXPECT_GT(result.blocked_gbps, 0.0);
+  EXPECT_GT(result.blocked, 0);
 }
 
 TEST(Routing, FreshViewAvoidsMispicks) {
@@ -112,15 +114,15 @@ TEST(Routing, FreshViewAvoidsMispicks) {
     rig.fabric.allocate_direct(mid, 200, rig.fabric.direct_capacity(mid, 200));
   }
   rig.view.force_refresh(0);  // now the view knows
-  const auto result = rig.router.route(100, 200, 500.0);
+  const auto result = rig.router.route(100, 200, q(500.0));
   EXPECT_EQ(result.stale_mispicks, 0);
-  EXPECT_DOUBLE_EQ(result.indirect_gbps, 0.0);  // no candidates at all
+  EXPECT_EQ(result.indirect, 0);  // no candidates at all
 }
 
 TEST(Routing, CumulativeCountersAdvance) {
   Rig rig;
-  (void)rig.router.route(1, 2, 50.0);
-  (void)rig.router.route(2, 3, 50.0);
+  (void)rig.router.route(1, 2, q(50.0));
+  (void)rig.router.route(2, 3, q(50.0));
   EXPECT_EQ(rig.router.flows_routed(), 2u);
 }
 
@@ -139,10 +141,11 @@ TEST_P(RoutingFuzz, ConservationUnderRandomChurn) {
       const int src = static_cast<int>(rng.below(350));
       int dst = static_cast<int>(rng.below(350));
       if (dst == src) dst = (dst + 1) % 350;
-      const double demand = rng.uniform(1.0, 600.0);
+      const sim::Quanta demand = q(rng.uniform(1.0, 600.0));
       auto r = rig.router.route(src, dst, demand);
-      // Accounting identity: pieces sum to the request.
-      EXPECT_NEAR(r.direct_gbps + r.indirect_gbps + r.blocked_gbps, r.requested, 1e-6);
+      // Accounting identity: pieces sum to the request, exactly.
+      EXPECT_EQ(r.direct + r.indirect + r.blocked, r.requested);
+      EXPECT_EQ(r.requested, demand);
       live.push_back(std::move(r));
     } else if (action < 0.85) {
       const std::size_t pick = rng.below(live.size());
@@ -151,10 +154,11 @@ TEST_P(RoutingFuzz, ConservationUnderRandomChurn) {
     } else {
       rig.view.force_refresh(step);
     }
-    EXPECT_LE(rig.fabric.utilization(), 1.0 + 1e-9);
+    EXPECT_LE(rig.fabric.utilization(), 1.0);
   }
   for (const auto& r : live) rig.router.release(r);
-  EXPECT_NEAR(rig.fabric.utilization(), 0.0, 1e-9);
+  EXPECT_EQ(rig.fabric.utilization(), 0.0);
+  for (const sim::Quanta used : rig.fabric.allocation_snapshot()) ASSERT_EQ(used, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoutingFuzz,
