@@ -39,6 +39,7 @@ ClusterCosim::ClusterCosim(const rack::RackConfig& rack,
                            ClusterConfig cluster, cosim::CosimConfig cfg,
                            obs::Obs obs)
     : cfg_(validated(cluster)),
+      profiler_(obs.profiler),
       fabric_(cfg_.racks, cfg_.interconnect_gbps.value, cfg_.hop_ns,
               cfg_.interconnect_pj_per_bit),
       pool_(pool_size(cfg_)) {
@@ -52,14 +53,18 @@ ClusterCosim::ClusterCosim(const rack::RackConfig& rack,
   // timeline, 16+k = per-job plans), so rack streams can never collide with
   // in-rack draws.
   const sim::Rng rack_root = sim::Rng(cfg.seed).child(5);
+  // Each rack profiles into its own Profiler (one writer per thread), merged
+  // into the caller's after run().  Trace and metrics sinks take one writer,
+  // so they attach to rack 0, whose stream matches a standalone run.
+  if (profiler_) rack_profilers_.resize(static_cast<std::size_t>(cfg_.racks));
   for (int r = 0; r < cfg_.racks; ++r) {
     cosim::CosimConfig rack_cfg = cfg;
     if (r > 0) rack_cfg.seed = rack_root.child(static_cast<std::uint64_t>(r))();
-    // Observability attaches to rack 0 only: one trace/metrics sink cannot
-    // take concurrent writers, and rack 0 is the rack whose stream matches a
-    // standalone run of the same seed.
+    obs::Obs rack_obs = r == 0 ? obs : obs::Obs{};
+    rack_obs.profiler =
+        profiler_ ? &rack_profilers_[static_cast<std::size_t>(r)] : nullptr;
     racks_.push_back(std::make_unique<cosim::RackCosim>(
-        rack, policy, usage, rack_cfg, r == 0 ? obs : obs::Obs{}));
+        rack, policy, usage, rack_cfg, rack_obs));
   }
   if (!coupled()) return;
   // Handlers run on rack worker threads inside a window: they only append
@@ -117,7 +122,7 @@ int ClusterCosim::pick_target(int origin) const {
   return best;
 }
 
-void ClusterCosim::exchange(sim::TimePs /*barrier*/) {
+void ClusterCosim::exchange() {
   // Merge every outbox into one stream ordered by (time, origin rack, kind,
   // record order) — a total order over cross-rack effects that does not
   // depend on which thread ran which rack, hence bit-identical results at
@@ -177,18 +182,9 @@ void ClusterCosim::exchange(sim::TimePs /*barrier*/) {
 void ClusterCosim::run() {
   if (ran_) return;
   ran_ = true;
-  if (!coupled()) {
-    // No cross-rack effects are possible: one window, full-parallel drain.
-    if (racks_.size() == 1) {
-      racks_.front()->finish();
-    } else {
-      for (auto& r : racks_) pool_.submit([rc = r.get()]() { rc->finish(); });
-      pool_.wait_idle();
-    }
-    ++barriers_;
-    return;
-  }
-  const sim::TimePs hop = fabric_.hop_latency_ps();
+  // Uncoupled racks cannot affect each other: their window reaches the end
+  // of time, so the loop collapses to one full-parallel drain.
+  const sim::TimePs hop = coupled() ? fabric_.hop_latency_ps() : INT64_MAX;
   for (;;) {
     sim::TimePs t_min = INT64_MAX;
     for (auto& r : racks_) t_min = std::min(t_min, r->next_event_time());
@@ -199,14 +195,9 @@ void ClusterCosim::run() {
         t_min > INT64_MAX - hop ? INT64_MAX : t_min + hop;
     advance_all(barrier);
     ++barriers_;
-    exchange(barrier);
+    exchange();
   }
-}
-
-sim::TimePs ClusterCosim::sim_end() const {
-  sim::TimePs end = 0;
-  for (const auto& r : racks_) end = std::max(end, r->now());
-  return end;
+  for (const obs::Profiler& p : rack_profilers_) profiler_->merge(p);
 }
 
 ClusterReport ClusterCosim::report() const {
@@ -214,111 +205,25 @@ ClusterReport ClusterCosim::report() const {
   out.spilled = spilled_;
   out.spill_failed = spill_failed_;
   out.barriers = barriers_;
-  const bool lit = coupled();
-  out.interconnect_power_w = fabric_.power_w(lit);
-  out.interconnect_energy_j = out.interconnect_power_w * sim::to_s(sim_end());
-  out.interconnect_utilization = fabric_.utilization(sim_end());
-  out.racks.reserve(racks_.size());
-  for (const auto& r : racks_) out.racks.push_back(r->report());
-  if (racks_.size() == 1) {
-    // The single-rack contract: total IS the rack's own report, bit for bit
-    // (and the dark interconnect adds nothing), so ClusterCosim(1) replaces
-    // RackCosim without moving a number.
-    out.total = out.racks.front();
-    return out;
+  // The total is rack 0's tally with every other rack merged in, so each
+  // cluster ratio is taken once, over sums pooled exactly across racks.
+  cosim::CosimTally total = racks_.front()->tally();
+  out.racks.push_back(total.report());
+  for (std::size_t r = 1; r < racks_.size(); ++r) {
+    const cosim::CosimTally rack = racks_[r]->tally();
+    out.racks.push_back(rack.report());
+    total.merge(rack);
   }
-
-  cosim::CosimReport& total = out.total;
-  // Jobs: counter sums plus exact sketch merges — cluster-wide tails equal
-  // one stream that saw every job, regardless of rack sharding.
-  disagg::JobStreamStats jobs;
-  std::uint64_t censored_waiting = 0;
-  for (const auto& r : racks_) {
-    std::uint64_t c = 0;
-    jobs.merge(r->censored_stream_stats(c));
-    censored_waiting += c;
-    total.jobs.censored_running += r->live_jobs();
-  }
-  const std::uint64_t censored_running = total.jobs.censored_running;
-  total.jobs = jobs.report();
-  total.jobs.censored_waiting = censored_waiting;
-  total.jobs.censored_running = censored_running;
-
-  sim::RunningStats speed, stretch;
-  // ML training tails merge exactly like the job stream: counter sums plus
-  // order-independent sketch merges, so sharding never moves a quantile.
-  cosim::MlStreamStats ml;
-  for (std::size_t r = 0; r < racks_.size(); ++r) {
-    const cosim::CosimReport& rr = out.racks[r];
-    total.jobs.events.scheduled += rr.jobs.events.scheduled;
-    total.jobs.events.dispatched += rr.jobs.events.dispatched;
-    total.jobs.events.cancelled += rr.jobs.events.cancelled;
-    total.jobs.events.pending_peak += rr.jobs.events.pending_peak;
-    // Flows: extensive fields sum; intensive fractions are
-    // flow-count-weighted means; peak utilization is the hottest rack.
-    const double w = static_cast<double>(rr.flows.flows);
-    total.flows.flows += rr.flows.flows;
-    total.flows.fully_satisfied += rr.flows.fully_satisfied;
-    total.flows.stale_mispicks += rr.flows.stale_mispicks;
-    total.flows.second_hops += rr.flows.second_hops;
-    total.flows.offered_gbps_mean += rr.flows.offered_gbps_mean * w;
-    total.flows.satisfied_fraction += rr.flows.satisfied_fraction * w;
-    total.flows.direct_fraction += rr.flows.direct_fraction * w;
-    total.flows.indirect_fraction += rr.flows.indirect_fraction * w;
-    total.flows.mean_intermediates += rr.flows.mean_intermediates * w;
-    total.flows.peak_utilization =
-        std::max(total.flows.peak_utilization, rr.flows.peak_utilization);
-    speed.merge(racks_[r]->speed_stats());
-    stretch.merge(racks_[r]->stretch_stats());
-    // Power/energy: racks draw concurrently, so cluster power is the sum of
-    // rack means and the peak bound is the sum of rack peaks.
-    total.energy_joules += rr.energy_joules;
-    total.mean_power_w += rr.mean_power_w;
-    total.peak_power_w += rr.peak_power_w;
-    total.photonic_power_w += rr.photonic_power_w;
-    total.completed_at = std::max(total.completed_at, rr.completed_at);
-    // Faults: counters sum; the rate-like fields (availability, MTTR) are
-    // unweighted means over racks — every rack runs the same fault config.
-    total.fault.enabled = total.fault.enabled || rr.fault.enabled;
-    total.fault.faults += rr.fault.faults;
-    total.fault.repairs += rr.fault.repairs;
-    total.fault.interrupted += rr.fault.interrupted;
-    total.fault.requeued += rr.fault.requeued;
-    total.fault.degraded += rr.fault.degraded;
-    total.fault.killed += rr.fault.killed;
-    total.fault.goodput_jobs += rr.fault.goodput_jobs;
-    total.fault.work_lost_ms += rr.fault.work_lost_ms;
-    ml.merge(racks_[r]->ml_stream_stats());
-    total.ml.enabled = total.ml.enabled || rr.ml.enabled;
-  }
-  if (const double n = static_cast<double>(total.flows.flows); n > 0.0) {
-    total.flows.offered_gbps_mean /= n;
-    total.flows.satisfied_fraction /= n;
-    total.flows.direct_fraction /= n;
-    total.flows.indirect_fraction /= n;
-    total.flows.mean_intermediates /= n;
-  }
-  double avail = 0.0, mttr = 0.0;
-  for (const auto& rr : out.racks) {
-    avail += rr.fault.availability;
-    mttr += rr.fault.mean_mttr_ms;
-  }
-  total.fault.availability = avail / static_cast<double>(out.racks.size());
-  total.fault.mean_mttr_ms = mttr / static_cast<double>(out.racks.size());
-  total.mean_speed_fraction = speed.count() ? speed.mean() : 1.0;
-  total.mean_stretch = stretch.count() ? stretch.mean() : 1.0;
-  total.max_stretch = stretch.count() ? stretch.max() : 1.0;
-  {
-    const bool enabled = total.ml.enabled;
-    total.ml = ml.report();
-    total.ml.enabled = enabled;
-  }
+  out.interconnect_power_w = fabric_.power_w(coupled());
+  out.interconnect_energy_j = out.interconnect_power_w * sim::to_s(total.completed_at);
+  out.interconnect_utilization = fabric_.utilization(total.completed_at);
   // The lit uplinks are part of what cluster-scale disaggregation costs:
   // fold them into the energy totals (rack-scale runs add exactly zero).
   total.energy_joules += out.interconnect_energy_j;
   total.mean_power_w += out.interconnect_power_w;
   total.peak_power_w += out.interconnect_power_w;
   total.photonic_power_w += out.interconnect_power_w;
+  out.total = total.report();
   return out;
 }
 

@@ -43,10 +43,10 @@ struct ClusterConfig {
 struct ClusterReport {
   /// Per-rack reports, index == rack id.
   std::vector<cosim::CosimReport> racks;
-  /// Cluster-wide aggregate.  Job tails come from exact sketch merges, so
-  /// they equal a single stream that saw every job; flow fractions are
-  /// flow-count-weighted means; power sums across racks; completed_at is the
-  /// latest rack.  With one rack this is that rack's report, field for field.
+  /// Cluster-wide aggregate: the report of every rack's cosim::CosimTally
+  /// merged (see CosimTally::merge), plus the interconnect's power.  Counts,
+  /// tails and ratios are pooled over racks as if one stream saw every job;
+  /// with one rack this is that rack's report, field for field.
   cosim::CosimReport total;
   std::uint64_t spilled = 0;        // jobs exported to another rack
   std::uint64_t spill_failed = 0;   // spills the target rack also refused
@@ -119,6 +119,10 @@ class ClusterCosim {
   };
 
   ClusterConfig cfg_;
+  obs::Profiler* profiler_;  // the caller's; null when not profiling
+  /// One per rack when profiling; sized once, before the racks that point
+  /// into it are built (and declared before them, so it outlives them).
+  std::vector<obs::Profiler> rack_profilers_;
   std::vector<std::unique_ptr<cosim::RackCosim>> racks_;
   InterRackFabric fabric_;
   sim::ThreadPool pool_;
@@ -136,9 +140,8 @@ class ClusterCosim {
     return cfg_.spill != SpillPolicy::kNone && racks_.size() > 1;
   }
   void advance_all(sim::TimePs barrier);
-  void exchange(sim::TimePs barrier);
+  void exchange();
   [[nodiscard]] int pick_target(int origin) const;
-  [[nodiscard]] sim::TimePs sim_end() const;
 };
 
 /// Run-to-completion convenience over ClusterCosim.

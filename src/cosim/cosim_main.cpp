@@ -73,11 +73,14 @@ void print_usage(std::ostream& os) {
         "  --manifest <file>       write the resolved config tree as JSON\n"
         "  --trace <file>          record a Chrome-trace-event timeline (sim-time\n"
         "                          keyed; open in Perfetto / chrome://tracing;\n"
-        "                          ring mode via --set obs.trace.ring=N)\n"
+        "                          ring mode via --set obs.trace.ring=N;\n"
+        "                          cluster mode: rack 0 only)\n"
         "  --metrics <file>        write sampled time-series metrics rows\n"
         "                          (.jsonl for JSON lines, anything else CSV;\n"
-        "                          period via --set obs.metrics.interval_ms=T)\n"
+        "                          period via --set obs.metrics.interval_ms=T;\n"
+        "                          cluster mode: rack 0 only)\n"
         "  --profile               print the wall-clock self-profile table\n"
+        "                          (cluster mode: summed over every rack)\n"
         "  --profile-json <file>   write the self-profile in the\n"
         "                          BENCH_results.json schema\n"
         "  --quiet                 print only the one-line summary\n"
@@ -104,21 +107,23 @@ CliOptions parse_cli(int argc, char** argv) {
       if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
       return argv[++i];
     };
-    // Flag sugar for one registry path: errors name the flag the user typed
-    // in front of the registry's own message ("--spill: unknown spill
-    // policy 'ring' (want none|next|least)").
-    auto set = [&](const std::string& path, const std::string& v) {
+    // Errors name the flag the user typed in front of the parser's own
+    // message ("--spill: unknown spill policy 'ring' (want none|next|least)").
+    auto flagged = [&](auto&& parse) {
       try {
-        opt.tree.set(path, v);
+        parse();
       } catch (const std::exception& e) {
         throw std::invalid_argument(arg + ": " + e.what());
       }
+    };
+    auto set = [&](const std::string& path, const std::string& v) {
+      flagged([&] { opt.tree.set(path, v); });
     };
     if (arg == "--help" || arg == "-h") {
       print_usage(std::cout);
       std::exit(0);
     } else if (arg == "--policy") {
-      opt.policy = disagg::allocation_policy_codec().parse(value());
+      flagged([&, v = value()] { opt.policy = disagg::allocation_policy_codec().parse(v); });
     } else if (arg == "--rate") {
       set("cosim.arrivals_per_ms", value());
     } else if (arg == "--duration-ms") {
@@ -251,7 +256,7 @@ int main(int argc, char** argv) {
 
     // Cluster mode reuses the rack report printer on the aggregated total;
     // the cluster-only telemetry (spill, barriers, interconnect) is appended
-    // below.  Observability attaches to rack 0 in cluster mode.
+    // below.  Cluster traces and metrics cover rack 0, profiles every rack.
     cosim::CosimReport report;
     cluster::ClusterReport cluster_report;
     if (opt.cluster) {
@@ -341,7 +346,8 @@ int main(int argc, char** argv) {
         table.add_row({"goodput jobs",
                        sim::fmt_int(static_cast<long long>(f.goodput_jobs))});
         table.add_row({"work lost (ms)", sim::fmt_fixed(f.work_lost_ms, 2)});
-        table.add_row({"mean MTTR (ms)", sim::fmt_fixed(f.mean_mttr_ms, 2)});
+        table.add_row({"mean MTTR (ms)",
+                       f.repairs ? sim::fmt_fixed(f.mean_mttr_ms, 2) : "n/a"});
       }
       if (report.ml.enabled) {
         const auto& ml = report.ml;

@@ -129,22 +129,17 @@ struct MlStats {
   disagg::TailStats straggler;         // per-collective straggler stretch, >= 1
 };
 
-/// Sketch-backed accumulator behind MlStats; merges are exact and
+/// Sketch-backed accumulators behind MlStats; merges are exact and
 /// order-independent so cluster aggregation never moves a quantile
 /// (same contract as disagg::JobStreamStats).
-class MlStreamStats {
- public:
-  void offer() { ++offered_; }
-  void accept() { ++accepted_; }
-  void complete() { ++completed_; }
-  void record_step(double step_ms, double coll_frac, double straggler, int phases);
+struct MlStreamStats {
+  bool enabled = false;
+  std::uint64_t offered = 0, accepted = 0, completed = 0, steps = 0, phases = 0;
+  sim::QuantileSketch step_ms, coll_frac, straggler;
+
+  void record_step(double ms, double collective_share, double stretch, int step_phases);
   void merge(const MlStreamStats& other);
   [[nodiscard]] MlStats report() const;
-
- private:
-  std::uint64_t offered_ = 0, accepted_ = 0, completed_ = 0;
-  std::uint64_t steps_ = 0, phases_ = 0;
-  sim::QuantileSketch step_ms_, coll_frac_, straggler_;
 };
 
 struct CosimReport {
@@ -160,6 +155,26 @@ struct CosimReport {
   sim::TimePs completed_at = 0;   // queue time when the report was taken
   fault::FaultStats fault;        // all-zero defaults when faults are off
   MlStats ml;                     // all-zero defaults when ml.* is off
+};
+
+/// The raw accumulators a CosimReport is derived from.  merge() is the one
+/// rule that pools racks (sums, exact sketch merges, max of completion time
+/// and peak utilization; power and pending-event peaks add, as racks run
+/// concurrently) and report() the one place every ratio is taken.
+struct CosimTally {
+  disagg::JobStreamStats jobs;  // censored waits folded in
+  std::uint64_t censored_waiting = 0, censored_running = 0;
+  sim::EventQueueStats events;
+  net::FlowTally flows;
+  sim::RunningStats speed, stretch;
+  double energy_joules = 0.0, mean_power_w = 0.0, peak_power_w = 0.0,
+         photonic_power_w = 0.0;
+  sim::TimePs completed_at = 0;
+  fault::FaultTally fault;
+  MlStreamStats ml;
+
+  void merge(const CosimTally& other);
+  [[nodiscard]] CosimReport report() const;
 };
 
 class RackCosim {
@@ -186,7 +201,10 @@ class RackCosim {
   void finish();
 
   [[nodiscard]] sim::TimePs now() const { return queue_.now(); }
-  [[nodiscard]] CosimReport report() const;
+  /// Snapshot of every accumulator, the waits of jobs still queued folded
+  /// in as censored lower bounds.  report() is tally().report().
+  [[nodiscard]] CosimTally tally() const;
+  [[nodiscard]] CosimReport report() const { return tally().report(); }
   [[nodiscard]] const disagg::RackAllocator& allocator() const { return allocator_; }
   [[nodiscard]] const net::WavelengthFabric& fabric() const { return *fabric_; }
   [[nodiscard]] double fabric_utilization() const { return engine_.fabric_utilization(); }
@@ -260,17 +278,6 @@ class RackCosim {
   /// the quantity a conservative-window cluster loop takes the minimum of.
   [[nodiscard]] sim::TimePs next_event_time() { return queue_.next_time(); }
 
-  // --- report-assembly accessors (cluster aggregation; see report()) ---
-  /// Copy of the stream statistics with censored waits folded in: every
-  /// *recorded* backlog entry contributes its wait-so-far, and `censored`
-  /// receives that count.  Fault-requeued entries (record = false) are
-  /// excluded — their original wait was already recorded at first placement.
-  [[nodiscard]] disagg::JobStreamStats censored_stream_stats(
-      std::uint64_t& censored) const;
-  [[nodiscard]] const sim::RunningStats& speed_stats() const { return speed_; }
-  [[nodiscard]] const sim::RunningStats& stretch_stats() const { return stretch_; }
-  [[nodiscard]] const MlStreamStats& ml_stream_stats() const { return mlstats_; }
-
  private:
   /// A planned job waiting in the kQueue backlog for resources.  `retries`
   /// and `record` carry fault-requeue state: a re-admitted victim keeps its
@@ -325,16 +332,15 @@ class RackCosim {
 
   std::uint64_t live_jobs_ = 0;
   std::deque<PendingJob> backlog_;
-  disagg::JobStreamStats stats_;  // offered/accepted, utilization, tails
-  MlStreamStats mlstats_;         // training-stream tails (untouched when ml off)
-  sim::RunningStats speed_, stretch_;
+  /// Run-long accumulators (jobs, speed/stretch, faults, training stream);
+  /// tally() adds the snapshot fields to a copy.
+  CosimTally tally_;
   phot::EnergyTrace energy_;
   double photonic_w_ = 0.0;
 
   // --- fault engine (all empty / untouched when cfg_.fault.enabled=false) ---
   bool faults_on_ = false;
   std::unique_ptr<fault::FaultScheduler> fault_sched_;
-  fault::FaultStats fstats_;
   std::unordered_map<std::uint64_t, LiveJob> live_map_;
   std::uint64_t next_live_id_ = 1;
   /// Per rack node: 0 = free, kNodeOffline = crashed, else the static job

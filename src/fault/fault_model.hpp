@@ -96,4 +96,20 @@ struct FaultStats {
   double mean_mttr_ms = 0.0;      // measured repair time over the timeline
 };
 
+/// The raw sums FaultStats is derived from: the counters, plus downtime and
+/// repair-time totals in place of the two ratios, so racks pool exactly.
+struct FaultTally {
+  bool enabled = false;
+  std::uint64_t faults = 0, repairs = 0, interrupted = 0, requeued = 0,
+                degraded = 0, killed = 0, goodput_jobs = 0;
+  double work_lost_ms = 0.0;
+  double downtime_ps = 0.0;  // crash-stop component downtime before the horizon
+  double exposure_ps = 0.0;  // horizon x crash-stop component count
+  double repair_ms = 0.0;    // fail -> repair time summed over the timeline
+  std::uint64_t timed_repairs = 0;  // fail/repair pairs summed into repair_ms
+
+  void merge(const FaultTally& other);
+  [[nodiscard]] FaultStats report() const;
+};
+
 }  // namespace photorack::fault

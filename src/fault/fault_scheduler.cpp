@@ -147,44 +147,56 @@ void FaultScheduler::arm(sim::EventQueue& queue,
     queue.schedule_at(ev.at, [handler, ev]() { handler(ev); });
 }
 
-double FaultScheduler::availability(sim::TimePs horizon) const {
-  if (horizon <= 0) return 1.0;
+FaultTally FaultScheduler::tally(sim::TimePs horizon) const {
+  FaultTally out;
+  out.exposure_ps =
+      static_cast<double>(std::max<sim::TimePs>(horizon, 0)) * (mcms_ + nodes_);
   // Pair each fail with its repair (per component; the timeline alternates
-  // within a component) and integrate crash-stop downtime over the window.
-  std::map<std::tuple<int, int, int>, sim::TimePs> down_since;
-  double downtime_ps = 0.0;
-  for (const FaultEvent& ev : timeline_) {
-    if (ev.cls != ComponentClass::kMcm && ev.cls != ComponentClass::kNode) continue;
-    const auto key = std::make_tuple(static_cast<int>(ev.cls), ev.a, ev.b);
-    if (ev.kind == FaultKind::kFail) {
-      down_since[key] = ev.at;
-    } else {
-      const sim::TimePs from = std::min(down_since[key], horizon);
-      const sim::TimePs to = std::min(ev.at, horizon);
-      downtime_ps += static_cast<double>(to - from);
-      down_since.erase(key);
-    }
-  }
-  const double components = static_cast<double>(mcms_ + nodes_);
-  const double window = static_cast<double>(horizon) * components;
-  return std::clamp(1.0 - downtime_ps / window, 0.0, 1.0);
-}
-
-double FaultScheduler::mean_mttr_ms() const {
+  // within a component).
   std::map<std::tuple<int, int, int>, sim::TimePs> fail_at;
-  double total_ms = 0.0;
-  std::uint64_t repairs = 0;
   for (const FaultEvent& ev : timeline_) {
     const auto key = std::make_tuple(static_cast<int>(ev.cls), ev.a, ev.b);
     if (ev.kind == FaultKind::kFail) {
       fail_at[key] = ev.at;
-    } else {
-      total_ms += static_cast<double>(ev.at - fail_at[key]) /
-                  static_cast<double>(sim::kPsPerMs);
-      ++repairs;
+      continue;
     }
+    const sim::TimePs from = fail_at[key];
+    out.repair_ms += static_cast<double>(ev.at - from) /
+                     static_cast<double>(sim::kPsPerMs);
+    ++out.timed_repairs;
+    if (ev.cls == ComponentClass::kMcm || ev.cls == ComponentClass::kNode)
+      out.downtime_ps += static_cast<double>(std::min(ev.at, horizon) -
+                                             std::min(from, horizon));
   }
-  return repairs ? total_ms / static_cast<double>(repairs) : 0.0;
+  return out;
+}
+
+void FaultTally::merge(const FaultTally& other) {
+  enabled = enabled || other.enabled;
+  faults += other.faults;
+  repairs += other.repairs;
+  interrupted += other.interrupted;
+  requeued += other.requeued;
+  degraded += other.degraded;
+  killed += other.killed;
+  goodput_jobs += other.goodput_jobs;
+  work_lost_ms += other.work_lost_ms;
+  downtime_ps += other.downtime_ps;
+  exposure_ps += other.exposure_ps;
+  repair_ms += other.repair_ms;
+  timed_repairs += other.timed_repairs;
+}
+
+FaultStats FaultTally::report() const {
+  return FaultStats{
+      .enabled = enabled, .faults = faults, .repairs = repairs,
+      .interrupted = interrupted, .requeued = requeued, .degraded = degraded,
+      .killed = killed, .goodput_jobs = goodput_jobs, .work_lost_ms = work_lost_ms,
+      .availability = exposure_ps > 0.0
+                          ? std::clamp(1.0 - downtime_ps / exposure_ps, 0.0, 1.0)
+                          : 1.0,
+      .mean_mttr_ms =
+          timed_repairs ? repair_ms / static_cast<double>(timed_repairs) : 0.0};
 }
 
 }  // namespace photorack::fault

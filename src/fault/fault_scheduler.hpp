@@ -48,14 +48,10 @@ class FaultScheduler {
   /// at its fire time.  Call once, before the queue starts running.
   void arm(sim::EventQueue& queue, std::function<void(const FaultEvent&)> handler) const;
 
-  /// 1 - mean downtime fraction of the crash-stop components (MCMs and
-  /// nodes) over [0, horizon); always in [0, 1].  Link/laser faults degrade
-  /// goodput, not component availability.
-  [[nodiscard]] double availability(sim::TimePs horizon) const;
-
-  /// Mean repair time over every fail/repair pair of the timeline, in ms
-  /// (0 when the timeline is empty).
-  [[nodiscard]] double mean_mttr_ms() const;
+  /// The timeline's downtime and repair-time sums, counters zero.  Downtime
+  /// counts crash-stop components (MCMs, nodes) over [0, horizon): link and
+  /// laser faults degrade goodput, not availability.
+  [[nodiscard]] FaultTally tally(sim::TimePs horizon) const;
 
  private:
   int mcms_;

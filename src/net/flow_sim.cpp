@@ -31,17 +31,19 @@ std::uint64_t FlowEngine::open(const FlowSpec& spec, sim::TimePs now) {
   // No capacity bounds the run-long demand total (which bounds the grant
   // totals), so it is checked before anything is reserved.
   sim::Quanta requested_total = 0;
-  if (__builtin_add_overflow(requested_total_, demand, &requested_total))
+  if (__builtin_add_overflow(tally_.requested, demand, &requested_total))
     throw std::out_of_range("FlowEngine::open: run-long demand total overflows");
   RouteResult result = router_.route(spec.src, spec.dst, demand);
-  ++flows_;
-  if (result.fully_satisfied()) ++fully_satisfied_;
-  offered_.add(spec.gbps);
-  intermediates_.add(result.intermediates_used);
-  requested_total_ = requested_total;
-  direct_total_ += result.direct;
-  indirect_total_ += result.indirect;
-  peak_util_ = std::max(peak_util_, fabric_->utilization());
+  ++tally_.flows;
+  if (result.fully_satisfied()) ++tally_.fully_satisfied;
+  tally_.stale_mispicks += static_cast<std::uint64_t>(result.stale_mispicks);
+  tally_.second_hops += static_cast<std::uint64_t>(result.second_hops);
+  tally_.offered_gbps.add(spec.gbps);
+  tally_.intermediates.add(result.intermediates_used);
+  tally_.requested = requested_total;
+  tally_.direct += result.direct;
+  tally_.indirect += result.indirect;
+  tally_.peak_utilization = std::max(tally_.peak_utilization, fabric_->utilization());
   const std::uint64_t id = next_id_++;
   // Span endpoints are only known at close; remember the opening here.
   if (obs_.trace) opened_.emplace(id, OpenedAt{now, spec.src, spec.dst});
@@ -79,20 +81,32 @@ void FlowEngine::close(std::uint64_t flow_id, sim::TimePs now) {
   live_.erase(it);
 }
 
-FlowSimReport FlowEngine::report() const {
-  FlowSimReport report;
-  report.flows = flows_;
-  report.fully_satisfied = fully_satisfied_;
-  report.offered_gbps_mean = offered_.mean();
-  const sim::Quanta satisfied = direct_total_ + indirect_total_;
-  report.satisfied_fraction = sim::ratio(satisfied, requested_total_, 1.0);
-  report.direct_fraction = sim::ratio(direct_total_, satisfied);
-  report.indirect_fraction = sim::ratio(indirect_total_, satisfied);
-  report.stale_mispicks = router_.total_mispicks();
-  report.second_hops = router_.total_second_hops();
-  report.mean_intermediates = intermediates_.mean();
-  report.peak_utilization = peak_util_;
-  return report;
+void FlowTally::merge(const FlowTally& other) {
+  // Grants never exceed demand, so a demand sum that fits bounds them too.
+  if (__builtin_add_overflow(requested, other.requested, &requested))
+    throw std::out_of_range("FlowTally::merge: pooled demand total overflows");
+  flows += other.flows;
+  fully_satisfied += other.fully_satisfied;
+  stale_mispicks += other.stale_mispicks;
+  second_hops += other.second_hops;
+  direct += other.direct;
+  indirect += other.indirect;
+  offered_gbps.merge(other.offered_gbps);
+  intermediates.merge(other.intermediates);
+  peak_utilization = std::max(peak_utilization, other.peak_utilization);
+}
+
+FlowSimReport FlowTally::report() const {
+  const sim::Quanta satisfied = direct + indirect;
+  return FlowSimReport{
+      .flows = flows, .fully_satisfied = fully_satisfied,
+      .offered_gbps_mean = offered_gbps.mean(),
+      .satisfied_fraction = sim::ratio(satisfied, requested, 1.0),
+      .direct_fraction = sim::ratio(direct, satisfied),
+      .indirect_fraction = sim::ratio(indirect, satisfied),
+      .stale_mispicks = stale_mispicks, .second_hops = second_hops,
+      .mean_intermediates = intermediates.mean(),
+      .peak_utilization = peak_utilization};
 }
 
 FlowSimulator::FlowSimulator(WavelengthFabric& fabric, FlowGenerator generator,

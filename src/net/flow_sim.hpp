@@ -48,6 +48,19 @@ struct FlowSimReport {
   }
 };
 
+/// The raw statistics a FlowSimReport is derived from: integer bandwidth
+/// sums and counters, so tallies merge exactly before report() divides.
+struct FlowTally {
+  std::uint64_t flows = 0, fully_satisfied = 0, stale_mispicks = 0, second_hops = 0;
+  sim::Quanta requested = 0, direct = 0, indirect = 0;
+  sim::RunningStats offered_gbps, intermediates;
+  double peak_utilization = 0.0;
+
+  /// Throws std::out_of_range when the pooled demand total overflows.
+  void merge(const FlowTally& other);
+  [[nodiscard]] FlowSimReport report() const;
+};
+
 /// Stateful flow session over the AWGR fabric: open() routes a demand
 /// through IndirectRouter (recording satisfaction/indirection statistics),
 /// close() releases every reserved segment.  The engine owns the piggyback
@@ -84,8 +97,9 @@ class FlowEngine {
 
   [[nodiscard]] std::uint64_t live_flows() const { return live_.size(); }
   [[nodiscard]] double fabric_utilization() const { return fabric_->utilization(); }
-  /// Snapshot of the cumulative statistics over every open() so far.
-  [[nodiscard]] FlowSimReport report() const;
+  /// Cumulative statistics over every open() so far.
+  [[nodiscard]] const FlowTally& tally() const { return tally_; }
+  [[nodiscard]] FlowSimReport report() const { return tally_.report(); }
 
  private:
   /// Trace-only record of a live flow's opening, kept solely while a
@@ -107,10 +121,7 @@ class FlowEngine {
   obs::Profiler::ScopeId sc_open_ = 0, sc_refresh_ = 0;
   std::unordered_map<std::uint64_t, OpenedAt> opened_;  // trace mode only
 
-  sim::RunningStats offered_, intermediates_;
-  sim::Quanta requested_total_ = 0, direct_total_ = 0, indirect_total_ = 0;
-  double peak_util_ = 0.0;
-  std::uint64_t flows_ = 0, fully_satisfied_ = 0;
+  FlowTally tally_;
 };
 
 /// Event-driven flow-level simulation over the AWGR fabric: Poisson flow

@@ -1,6 +1,6 @@
 #include "net/reconfig_router.hpp"
 
-#include <algorithm>
+#include <stdexcept>
 
 namespace photorack::net {
 
@@ -13,26 +13,26 @@ ReconfigRouter::Circuit* ReconfigRouter::find_circuit(int a, int b) {
   return it == circuits_.end() ? nullptr : &it->second;
 }
 
-double ReconfigRouter::circuit_headroom(int a, int b) const {
+sim::Quanta ReconfigRouter::circuit_headroom(int a, int b) const {
   const auto it = circuits_.find({a, b});
-  return it == circuits_.end() ? 0.0 : it->second.capacity - it->second.used;
+  return it == circuits_.end() ? 0 : it->second.capacity - it->second.used;
 }
 
-bool ReconfigRouter::take(int a, int b, double gbps) {
+bool ReconfigRouter::take(int a, int b, sim::Quanta bw) {
   Circuit* c = find_circuit(a, b);
-  if (c == nullptr || c->capacity - c->used < gbps) return false;
-  c->used += gbps;
+  if (c == nullptr || c->capacity - c->used < bw) return false;
+  c->used += bw;
   return true;
 }
 
 ReconfigRouter::Placement ReconfigRouter::place(int src, int dst, double gbps,
                                                 sim::TimePs now) {
   Placement p;
+  p.bw = sim::to_quanta(gbps);
 
   // 1. Existing direct circuit.
-  if (take(src, dst, gbps)) {
+  if (take(src, dst, p.bw)) {
     p.placed = true;
-    p.gbps = gbps;
     p.ready_at = now;
     p.circuits_used = {{src, dst}};
     ++direct_hits_;
@@ -45,12 +45,11 @@ ReconfigRouter::Placement ReconfigRouter::place(int src, int dst, double gbps,
     for (const auto& [key, circuit] : circuits_) {
       const auto [a, mid] = key;
       if (a != src || mid == dst) continue;
-      if (circuit.capacity - circuit.used < gbps) continue;
-      if (circuit_headroom(mid, dst) < gbps) continue;
-      take(src, mid, gbps);
-      take(mid, dst, gbps);
+      if (circuit.capacity - circuit.used < p.bw) continue;
+      if (circuit_headroom(mid, dst) < p.bw) continue;
+      take(src, mid, p.bw);
+      take(mid, dst, p.bw);
       p.placed = true;
-      p.gbps = gbps;
       p.ready_at = now;
       p.indirect = true;
       p.circuits_used = {{src, mid}, {mid, dst}};
@@ -64,15 +63,14 @@ ReconfigRouter::Placement ReconfigRouter::place(int src, int dst, double gbps,
   if (!grant.granted) return p;  // no shared switch / ports exhausted
   ++reconfigs_;
   auto& circuit = circuits_[{src, dst}];
-  circuit.capacity += cfg_.circuit_gbps;
-  if (circuit.capacity - circuit.used < gbps) {
+  circuit.capacity += sim::to_quanta(cfg_.circuit_gbps);
+  if (circuit.capacity - circuit.used < p.bw) {
     // Even a fresh circuit cannot carry this flow in one piece.
     p.placed = false;
     return p;
   }
-  circuit.used += gbps;
+  circuit.used += p.bw;
   p.placed = true;
-  p.gbps = gbps;
   p.ready_at = grant.ready_at;
   p.reconfigured = true;
   p.circuits_used = {{src, dst}};
@@ -83,7 +81,9 @@ void ReconfigRouter::release(const Placement& placement) {
   if (!placement.placed) return;
   for (const auto& [a, b] : placement.circuits_used) {
     Circuit* c = find_circuit(a, b);
-    if (c != nullptr) c->used = std::max(0.0, c->used - placement.gbps);
+    if (c == nullptr || placement.bw > c->used)
+      throw std::logic_error("ReconfigRouter::release: released more than reserved");
+    c->used -= placement.bw;
   }
 }
 

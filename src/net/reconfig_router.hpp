@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "net/scheduler.hpp"
+#include "sim/quanta.hpp"
 
 namespace photorack::net {
 
@@ -29,7 +30,7 @@ class ReconfigRouter {
 
   struct Placement {
     bool placed = false;
-    double gbps = 0.0;
+    sim::Quanta bw = 0;            // demand; held on every leg once placed
     sim::TimePs ready_at = 0;      // when the last needed circuit is usable
     bool reconfigured = false;     // a new circuit had to be set up
     bool indirect = false;         // rode existing circuits via a mid MCM
@@ -39,12 +40,13 @@ class ReconfigRouter {
   ReconfigRouter(const rack::SpatialFabricPlan& plan, CentralizedScheduler& scheduler,
                  Config cfg = {});
 
-  /// Place a flow of `gbps` at time `now`.
+  /// Place a flow of `gbps` (quantized once, to sim::Quanta) at time `now`.
   [[nodiscard]] Placement place(int src, int dst, double gbps, sim::TimePs now);
 
   /// Release a previous placement's bandwidth (circuits stay configured;
   /// real systems tear them down lazily, and keeping them warm is exactly
-  /// what makes the indirect synergy work).
+  /// what makes the indirect synergy work).  Throws std::logic_error when
+  /// a leg would go below zero, e.g. on releasing a placement twice.
   void release(const Placement& placement);
 
   [[nodiscard]] std::uint64_t reconfigurations() const { return reconfigs_; }
@@ -52,12 +54,12 @@ class ReconfigRouter {
   [[nodiscard]] std::uint64_t direct_hits() const { return direct_hits_; }
 
   /// Spare capacity on an existing circuit (0 when none exists).
-  [[nodiscard]] double circuit_headroom(int a, int b) const;
+  [[nodiscard]] sim::Quanta circuit_headroom(int a, int b) const;
 
  private:
   struct Circuit {
-    double capacity = 0.0;
-    double used = 0.0;
+    sim::Quanta capacity = 0;
+    sim::Quanta used = 0;
   };
 
   const rack::SpatialFabricPlan* plan_;
@@ -69,7 +71,7 @@ class ReconfigRouter {
   std::uint64_t direct_hits_ = 0;
 
   Circuit* find_circuit(int a, int b);
-  bool take(int a, int b, double gbps);
+  bool take(int a, int b, sim::Quanta bw);
 };
 
 }  // namespace photorack::net

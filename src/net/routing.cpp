@@ -60,7 +60,6 @@ sim::Quanta IndirectRouter::try_indirect(int src, int dst, sim::Quanta want,
   sim::Quanta stranded = leg1 - leg2;
 
   if (stranded > 0) {
-    ++mispicks_;
     ++out.stale_mispicks;
     // The intermediate repairs the shortfall through a second intermediate
     // chosen with its own current view (§IV-A's two-stage fallback).
@@ -76,7 +75,6 @@ sim::Quanta IndirectRouter::try_indirect(int src, int dst, sim::Quanta want,
       fabric_->allocate_direct(mid2, dst, moved);
       out.segments.push_back({mid, mid2, moved});
       out.segments.push_back({mid2, dst, moved});
-      ++second_hops_;
       ++out.second_hops;
       placed += moved;
       stranded -= moved;

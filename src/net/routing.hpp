@@ -58,16 +58,12 @@ class IndirectRouter {
 
   /// Cumulative statistics.
   [[nodiscard]] std::uint64_t flows_routed() const { return flows_; }
-  [[nodiscard]] std::uint64_t total_mispicks() const { return mispicks_; }
-  [[nodiscard]] std::uint64_t total_second_hops() const { return second_hops_; }
 
  private:
   WavelengthFabric* fabric_;
   PiggybackView* view_;
   sim::Rng rng_;
   std::uint64_t flows_ = 0;
-  std::uint64_t mispicks_ = 0;
-  std::uint64_t second_hops_ = 0;
 
   /// Reserve up to `want` via one Valiant-chosen intermediate; returns the
   /// amount placed and appends segments.

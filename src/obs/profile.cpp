@@ -31,6 +31,14 @@ void Profiler::record(ScopeId id, std::uint64_t ns) {
   e.total_ns += ns;
 }
 
+void Profiler::merge(const Profiler& other) {
+  for (const Entry& e : other.entries_) {
+    Entry& mine = entries_[scope(e.name)];
+    mine.count += e.count;
+    mine.total_ns += e.total_ns;
+  }
+}
+
 void Profiler::write_bench_json(std::ostream& os) const {
   os << "{\"benchmarks\":[";
   bool first = true;

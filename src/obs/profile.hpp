@@ -31,6 +31,10 @@ class Profiler {
 
   void record(ScopeId id, std::uint64_t ns);
 
+  /// Add `other`'s counts and times into the scopes of the same name,
+  /// registering scopes this profiler has not seen in `other`'s order.
+  void merge(const Profiler& other);
+
   struct Entry {
     std::string name;
     std::uint64_t count = 0;

@@ -72,10 +72,16 @@ void expect_reports_identical(const cosim::CosimReport& a,
   EXPECT_EQ(a.jobs.events.scheduled, b.jobs.events.scheduled);
   EXPECT_EQ(a.jobs.events.dispatched, b.jobs.events.dispatched);
   EXPECT_EQ(a.jobs.events.cancelled, b.jobs.events.cancelled);
+  EXPECT_EQ(a.jobs.events.pending_peak, b.jobs.events.pending_peak);
   EXPECT_EQ(a.flows.flows, b.flows.flows);
   EXPECT_EQ(a.flows.fully_satisfied, b.flows.fully_satisfied);
+  EXPECT_EQ(a.flows.offered_gbps_mean, b.flows.offered_gbps_mean);
   EXPECT_EQ(a.flows.satisfied_fraction, b.flows.satisfied_fraction);
+  EXPECT_EQ(a.flows.direct_fraction, b.flows.direct_fraction);
   EXPECT_EQ(a.flows.indirect_fraction, b.flows.indirect_fraction);
+  EXPECT_EQ(a.flows.stale_mispicks, b.flows.stale_mispicks);
+  EXPECT_EQ(a.flows.second_hops, b.flows.second_hops);
+  EXPECT_EQ(a.flows.mean_intermediates, b.flows.mean_intermediates);
   EXPECT_EQ(a.flows.peak_utilization, b.flows.peak_utilization);
   EXPECT_EQ(a.mean_speed_fraction, b.mean_speed_fraction);
   EXPECT_EQ(a.mean_stretch, b.mean_stretch);
@@ -85,12 +91,26 @@ void expect_reports_identical(const cosim::CosimReport& a,
   EXPECT_EQ(a.peak_power_w, b.peak_power_w);
   EXPECT_EQ(a.photonic_power_w, b.photonic_power_w);
   EXPECT_EQ(a.completed_at, b.completed_at);
+  EXPECT_EQ(a.fault.enabled, b.fault.enabled);
   EXPECT_EQ(a.fault.faults, b.fault.faults);
   EXPECT_EQ(a.fault.repairs, b.fault.repairs);
   EXPECT_EQ(a.fault.interrupted, b.fault.interrupted);
   EXPECT_EQ(a.fault.requeued, b.fault.requeued);
+  EXPECT_EQ(a.fault.degraded, b.fault.degraded);
   EXPECT_EQ(a.fault.killed, b.fault.killed);
+  EXPECT_EQ(a.fault.goodput_jobs, b.fault.goodput_jobs);
+  EXPECT_EQ(a.fault.work_lost_ms, b.fault.work_lost_ms);
   EXPECT_EQ(a.fault.availability, b.fault.availability);
+  EXPECT_EQ(a.fault.mean_mttr_ms, b.fault.mean_mttr_ms);
+  EXPECT_EQ(a.ml.enabled, b.ml.enabled);
+  EXPECT_EQ(a.ml.jobs_offered, b.ml.jobs_offered);
+  EXPECT_EQ(a.ml.jobs_accepted, b.ml.jobs_accepted);
+  EXPECT_EQ(a.ml.jobs_completed, b.ml.jobs_completed);
+  EXPECT_EQ(a.ml.steps, b.ml.steps);
+  EXPECT_EQ(a.ml.collective_phases, b.ml.collective_phases);
+  expect_tails_identical(a.ml.step_ms, b.ml.step_ms);
+  expect_tails_identical(a.ml.coll_frac, b.ml.coll_frac);
+  expect_tails_identical(a.ml.straggler, b.ml.straggler);
 }
 
 // ---------------------------------------------------------------------------
@@ -162,21 +182,33 @@ TEST(Cluster, RejectsInvalidConfig) {
   EXPECT_THROW(run_cluster(bad, quick_cosim()), std::invalid_argument);
 }
 
-// ISSUE 9 acceptance criterion: a one-rack cluster IS a RackCosim run — the
-// same seed, the same events, the same report, field for field.
+// A one-rack cluster IS a RackCosim run — the same seed, the same events,
+// the same report, field for field — also with the fault and ML paths on.
 TEST(Cluster, SingleRackReproducesRackCosimExactly) {
-  const auto cfg = quick_cosim(6.0);
-  ClusterConfig one;
-  one.racks = 1;
-  one.spill = SpillPolicy::kLeast;  // irrelevant with one rack
-  const auto cluster = run_cluster(one, cfg);
-  const auto solo = cosim::run_rack_cosim(
-      {}, disagg::AllocationPolicy::kDisaggregated,
-      workloads::UsageModel::cori(), cfg);
-  ASSERT_EQ(cluster.racks.size(), 1u);
-  expect_reports_identical(cluster.total, solo);
-  EXPECT_EQ(cluster.spilled, 0u);
-  EXPECT_EQ(cluster.interconnect_power_w, 0.0);
+  auto faulty_ml = quick_cosim(6.0);
+  faulty_ml.fault.enabled = true;
+  faulty_ml.fault.mcm_mtbf_ms = 40.0;
+  faulty_ml.fault.node_mtbf_ms = 80.0;
+  faulty_ml.ml.enabled = true;
+  faulty_ml.ml.mix_fraction = 0.3;
+  faulty_ml.ml.gradient_mb = 8.0;
+  for (const auto& cfg : {quick_cosim(6.0), faulty_ml}) {
+    ClusterConfig one;
+    one.racks = 1;
+    one.spill = SpillPolicy::kLeast;  // irrelevant with one rack
+    const auto cluster = run_cluster(one, cfg);
+    const auto solo = cosim::run_rack_cosim(
+        {}, disagg::AllocationPolicy::kDisaggregated,
+        workloads::UsageModel::cori(), cfg);
+    ASSERT_EQ(cluster.racks.size(), 1u);
+    expect_reports_identical(cluster.total, solo);
+    EXPECT_EQ(cluster.spilled, 0u);
+    EXPECT_EQ(cluster.interconnect_power_w, 0.0);
+  }
+  ASSERT_GT(cosim::run_rack_cosim({}, disagg::AllocationPolicy::kDisaggregated,
+                                  workloads::UsageModel::cori(), faulty_ml)
+                .fault.repairs,
+            0u);  // the fault path is actually exercised
 }
 
 TEST(Cluster, UncoupledRunIsIndependentOfWorkerCount) {
@@ -277,6 +309,77 @@ TEST(Cluster, InterconnectUtilizationIsATimeAverageAndLinksDrainExactly) {
 
   cluster.spill = SpillPolicy::kNone;
   EXPECT_EQ(run_cluster(cluster, quick_cosim(8.0)).interconnect_utilization, 0.0);
+}
+
+// Cluster ratios are pooled over racks — the ratio of the summed raw
+// accumulators, as one stream that saw every rack's flows and repairs would
+// report — not flow-weighted or unweighted means of per-rack ratios.
+TEST(Cluster, TotalsArePooledOverRacks) {
+  ClusterConfig coupled;
+  coupled.racks = 4;
+  coupled.spill = SpillPolicy::kLeast;
+  ClusterCosim sim({}, disagg::AllocationPolicy::kDisaggregated,
+                   workloads::UsageModel::cori(), coupled, quick_cosim(8.0));
+  sim.run();
+  const auto report = sim.report();
+  sim::Quanta requested = 0, direct = 0, indirect = 0;
+  for (int r = 0; r < sim.racks(); ++r) {
+    const net::FlowTally flows = sim.rack(r).tally().flows;
+    requested += flows.requested;
+    direct += flows.direct;
+    indirect += flows.indirect;
+  }
+  EXPECT_EQ(report.total.flows.satisfied_fraction,
+            sim::ratio(direct + indirect, requested, 1.0));
+  EXPECT_EQ(report.total.flows.indirect_fraction,
+            sim::ratio(indirect, direct + indirect));
+
+  // Sparse faults: one repair in the whole cluster.  Racks that repaired
+  // nothing have no MTTR to average in.
+  auto sparse = quick_cosim(4.0);
+  sparse.sim_time = 40 * sim::kPsPerMs;
+  sparse.fault.enabled = true;
+  sparse.fault.mcm_mtbf_ms = 4000.0;
+  sparse.fault.node_mtbf_ms = 8000.0;
+  ClusterConfig islands;
+  islands.racks = 4;
+  const auto faulty = run_cluster(islands, sparse);
+  double repair_ms = 0.0;
+  std::uint64_t repairs = 0, idle_racks = 0;
+  for (const auto& rack : faulty.racks) {
+    repair_ms += rack.fault.mean_mttr_ms * static_cast<double>(rack.fault.repairs);
+    repairs += rack.fault.repairs;
+    idle_racks += rack.fault.repairs == 0;
+  }
+  ASSERT_GT(repairs, 0u);
+  ASSERT_GT(idle_racks, 0u);
+  EXPECT_EQ(faulty.total.fault.repairs, repairs);
+  EXPECT_GT(faulty.total.fault.mean_mttr_ms, 0.0);
+  EXPECT_NEAR(faulty.total.fault.mean_mttr_ms, repair_ms / static_cast<double>(repairs),
+              1e-12 * repair_ms);
+}
+
+// The profile of a cluster run covers every rack: one cosim.arrival hit per
+// offered job, whichever worker thread ran which rack.
+TEST(Cluster, ProfileCoversEveryRack) {
+  auto cfg = quick_cosim(8.0);
+  cfg.admission = cosim::AdmissionPolicy::kQueue;
+  cfg.queue_cap = 4;
+  for (const int workers : {1, 4}) {
+    ClusterConfig cluster;
+    cluster.racks = 3;
+    cluster.spill = SpillPolicy::kLeast;
+    cluster.workers = workers;
+    obs::Profiler profiler;
+    const auto report = run_cluster_cosim(
+        {}, disagg::AllocationPolicy::kDisaggregated, workloads::UsageModel::cori(),
+        cluster, cfg, obs::Obs{nullptr, nullptr, &profiler});
+    std::uint64_t arrivals = 0;
+    for (const auto& e : profiler.entries())
+      if (e.name == "cosim.arrival") arrivals = e.count;
+    EXPECT_GT(report.spilled, 0u) << workers;
+    EXPECT_EQ(arrivals, report.total.jobs.offered) << workers;
+  }
 }
 
 TEST(Cluster, RackScaleKeepsUplinksDark) {

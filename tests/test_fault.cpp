@@ -83,16 +83,17 @@ TEST(FaultTimeline, SortedWithOneRepairPerFail) {
 TEST(FaultTimeline, AllZeroMtbfIsEmptyAndFullyAvailable) {
   const FaultScheduler sched(FaultConfig{}, 8, 16, 42, kHorizon);
   EXPECT_TRUE(sched.timeline().empty());
-  EXPECT_EQ(sched.availability(kHorizon), 1.0);
-  EXPECT_EQ(sched.mean_mttr_ms(), 0.0);
+  const FaultStats stats = sched.tally(kHorizon).report();
+  EXPECT_EQ(stats.availability, 1.0);
+  EXPECT_EQ(stats.mean_mttr_ms, 0.0);
 }
 
 TEST(FaultTimeline, AvailabilityIsAFractionAndMttrPositive) {
   const FaultScheduler sched(all_classes_config(), 8, 16, 42, kHorizon);
-  const double avail = sched.availability(kHorizon);
-  EXPECT_GT(avail, 0.0);
-  EXPECT_LT(avail, 1.0);  // MTBF 50/80 ms over 200 ms: faults are certain
-  EXPECT_GT(sched.mean_mttr_ms(), 0.0);
+  const FaultStats stats = sched.tally(kHorizon).report();
+  EXPECT_GT(stats.availability, 0.0);
+  EXPECT_LT(stats.availability, 1.0);  // MTBF 50/80 ms over 200 ms: faults are certain
+  EXPECT_GT(stats.mean_mttr_ms, 0.0);
 }
 
 TEST(FaultTimeline, MalformedConfigThrows) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace photorack::net {
 namespace {
 
@@ -66,9 +68,20 @@ TEST(ReconfigRouter, CapacityIsConserved) {
   Rig rig;
   const auto p1 = rig.router.place(0, 1, 6000.0, 0);
   ASSERT_TRUE(p1.placed);
-  EXPECT_NEAR(rig.router.circuit_headroom(0, 1), 400.0, 1e-9);
+  EXPECT_EQ(rig.router.circuit_headroom(0, 1), sim::to_quanta(400.0));
   rig.router.release(p1);
-  EXPECT_NEAR(rig.router.circuit_headroom(0, 1), 6400.0, 1e-9);
+  EXPECT_EQ(rig.router.circuit_headroom(0, 1), sim::to_quanta(6400.0));
+}
+
+// The circuit ledger is integer like every other capacity ledger: a second
+// release of the same placement is a bookkeeping bug, not a no-op.
+TEST(ReconfigRouter, DoubleReleaseThrows) {
+  Rig rig;
+  const auto p = rig.router.place(0, 1, 100.0, 0);
+  ASSERT_TRUE(p.placed);
+  rig.router.release(p);
+  EXPECT_EQ(rig.router.circuit_headroom(0, 1), sim::to_quanta(6400.0));
+  EXPECT_THROW(rig.router.release(p), std::logic_error);
 }
 
 TEST(ReconfigRouter, SaturatedCircuitTriggersNewSetup) {
