@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/report.hpp"
@@ -44,12 +43,7 @@ int main() {
   scenario::SweepGrid cpu_grid = fig6.default_grid();
   cpu_grid.set("bench", cpu_benches);
   cpu_grid.set("cpusim.dram.extra_ns", {photonic_ns, electronic_ns});
-  // Both latency points of one (bench, core) replay one recorded miss
-  // profile, and grid order makes them adjacent: the second waits while the
-  // first records it.  Two workers per core keep every core recording.
-  const auto cpu =
-      scenario::SweepRunner({.jobs = 2 * std::thread::hardware_concurrency()})
-          .run(fig6, cpu_grid);
+  const auto cpu = scenario::SweepRunner().run(fig6, cpu_grid);
 
   const auto& fig9 = scenario::campaign_by_name("fig9");
   scenario::SweepGrid gpu_grid = fig9.default_grid();

@@ -4,7 +4,6 @@
 // engine's "fig8" campaign with cpusim.core.kind={inorder,ooo}.
 #include <iostream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,13 +21,7 @@ int main() {
   const auto& campaign = scenario::campaign_by_name("fig8");
   scenario::SweepGrid grid = campaign.default_grid();
   grid.set("cpusim.core.kind", {"inorder", "ooo"});
-  // Grid order puts the three latency points of one (bench, core) next to
-  // each other, and all three replay one recorded miss profile: two of them
-  // wait while the first records it.  Three workers per core keep every
-  // core recording.
-  const auto res =
-      scenario::SweepRunner({.jobs = 3 * std::thread::hardware_concurrency()})
-          .run(campaign, grid);
+  const auto res = scenario::SweepRunner().run(campaign, grid);
 
   const std::vector<std::pair<std::string, std::string>> groups = {
       {"PARSEC", "small"}, {"PARSEC", "medium"}, {"PARSEC", "large"},

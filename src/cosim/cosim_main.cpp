@@ -301,6 +301,7 @@ int main(int argc, char** argv) {
     if (!opt.profile_json_path.empty())
       obs_bundle.profiler()->write_bench_json_file(opt.profile_json_path);
 
+    const bool hpc_placed = report.jobs.accepted > report.ml.jobs_accepted;
     if (!opt.quiet) {
       sim::Table table({"metric", "value"});
       table.add_row({"offered jobs", sim::fmt_int(static_cast<long long>(report.jobs.offered))});
@@ -316,9 +317,17 @@ int main(int argc, char** argv) {
       table.add_row({"bandwidth satisfied", sim::fmt_pct(report.flows.satisfied_fraction)});
       table.add_row({"indirect share", sim::fmt_pct(report.flows.indirect_fraction)});
       table.add_row({"peak fabric utilization", sim::fmt_pct(report.flows.peak_utilization)});
-      table.add_row({"mean job speed", sim::fmt_pct(report.mean_speed_fraction)});
-      table.add_row({"mean stretch", sim::fmt_fixed(report.mean_stretch, 3)});
-      table.add_row({"max stretch", sim::fmt_fixed(report.max_stretch, 3)});
+      // Speed and stretch are admission-time quantities of HPC jobs only;
+      // training jobs run at live collective rates (see the ML rows).
+      const auto hpc_cell = [hpc_placed](std::string cell) {
+        return hpc_placed ? cell : std::string("n/a");
+      };
+      table.add_row({"mean job speed (HPC jobs)",
+                     hpc_cell(sim::fmt_pct(report.mean_speed_fraction))});
+      table.add_row({"mean stretch (HPC jobs)",
+                     hpc_cell(sim::fmt_fixed(report.mean_stretch, 3))});
+      table.add_row({"max stretch (HPC jobs)",
+                     hpc_cell(sim::fmt_fixed(report.max_stretch, 3))});
       using disagg::TailStats;
       constexpr auto kP50 = &TailStats::p50, kP99 = &TailStats::p99,
                      kP999 = &TailStats::p999;
@@ -428,7 +437,8 @@ int main(int argc, char** argv) {
     if (opt.cluster)
       std::cerr << cluster_report.racks.size() << " racks, "
                 << cluster_report.spilled << " spilled, ";
-    std::cerr << "mean stretch " << sim::fmt_fixed(report.mean_stretch, 3) << ", "
+    std::cerr << "mean stretch (HPC jobs) "
+              << (hpc_placed ? sim::fmt_fixed(report.mean_stretch, 3) : "n/a") << ", "
               << sim::fmt_fixed(report.energy_joules / 1e3, 1) << " kJ over "
               << sim::fmt_fixed(sim::to_s(report.completed_at) * 1e3, 1) << " ms\n";
     return 0;

@@ -165,7 +165,6 @@ RackCosim::RackCosim(const rack::RackConfig& rack, disagg::AllocationPolicy poli
     // seed): derived here, armed as plain queue events.  Disabled runs skip
     // this block entirely — no events, no RNG draws, no state vectors — so
     // their event sequence numbers and output bytes are unchanged.
-    faults_on_ = true;
     fault_sched_ = std::make_unique<fault::FaultScheduler>(
         cfg_.fault, cfg_.fabric.mcms, rack_.nodes, cfg_.seed, cfg_.sim_time);
     node_owner_.assign(static_cast<std::size_t>(rack_.nodes), 0);
@@ -222,7 +221,7 @@ void RackCosim::setup_obs() {
 void RackCosim::take_sample() {
   auto& m = *obs_.metrics;
   m.set(m_.backlog_depth, static_cast<double>(backlog_.size()));
-  m.set(m_.live_jobs, static_cast<double>(live_jobs_));
+  m.set(m_.live_jobs, static_cast<double>(live_map_.size()));
   m.set(m_.fabric_util, engine_.fabric_utilization());
   // Per-MCM-pair direct-wavelength utilization: the congestion picture the
   // aggregate number hides (one hot pair can block while the mean is low).
@@ -245,7 +244,7 @@ void RackCosim::take_sample() {
   m.set(m_.energy_j, energy_.joules());
   m.set(m_.offered, static_cast<double>(tally_.jobs.offered()));
   m.set(m_.accepted, static_cast<double>(tally_.jobs.accepted()));
-  if (faults_on_) {
+  if (cfg_.fault.enabled) {
     m.set(m_.faults, static_cast<double>(tally_.fault.faults));
     m.set(m_.repairs, static_cast<double>(tally_.fault.repairs));
     m.set(m_.interrupted, static_cast<double>(tally_.fault.interrupted));
@@ -396,9 +395,9 @@ void RackCosim::schedule_next_arrival() {
 
 double RackCosim::open_flow_speed(const LiveJob& job, double if_none) const {
   sim::Quanta requested = 0, satisfied = 0;
-  for (std::size_t i = 0; i < job.flow_ids.size(); ++i) {
-    if (!job.flow_open[i]) continue;
-    const net::RouteResult& route = engine_.result(job.flow_ids[i]);
+  for (const std::uint64_t id : job.flow_ids) {
+    if (id == kClosedFlow) continue;
+    const net::RouteResult& route = engine_.result(id);
     requested += route.requested;
     satisfied += route.direct + route.indirect;
   }
@@ -440,7 +439,6 @@ bool RackCosim::try_start(const PendingJob& pending) {
     }
     if (obs_.metrics) obs_.metrics->observe(m_.wait_ms, to_ms(wait));
   }
-  ++live_jobs_;
   const std::uint64_t job_id = next_live_id_++;
   LiveJob& job = live_map_[job_id];
   job.plan = plan;
@@ -450,7 +448,7 @@ bool RackCosim::try_start(const PendingJob& pending) {
   job.placed_at = now;
   job.segment_start = now;
   job.remaining_base = static_cast<double>(plan.base_hold);
-  if (faults_on_) bind_nodes(job_id);
+  if (cfg_.fault.enabled) bind_nodes(job_id);
   if (plan.ml.is_ml) {
     // Training jobs skip the HPC hold/stretch machinery entirely: their
     // lifetime is the event-driven step loop (compute segment, then a
@@ -467,7 +465,6 @@ bool RackCosim::try_start(const PendingJob& pending) {
   }
   job.flow_ids.reserve(plan.flows.size());
   for (const auto& spec : plan.flows) job.flow_ids.push_back(engine_.open(spec, now));
-  job.flow_open.assign(job.flow_ids.size(), 1);
   // Spilled jobs run behind a finite inter-rack pipe: the grant fraction
   // caps speed multiplicatively.  Local jobs carry cap 1.0 — `x * 1.0` and
   // re-clamping an already-in-range value are both exact, so standalone
@@ -563,14 +560,13 @@ void RackCosim::complete_job(std::uint64_t job_id) {
     throw std::logic_error("complete_job: job already revoked or completed");
   const LiveJob job = std::move(it->second);
   live_map_.erase(it);
-  for (std::size_t i = 0; i < job.flow_ids.size(); ++i)
-    if (job.flow_open[i]) engine_.close(job.flow_ids[i], queue_.now());
+  for (const std::uint64_t id : job.flow_ids)
+    if (id != kClosedFlow) engine_.close(id, queue_.now());
   {
     obs::ScopedTimer timer(obs_.profiler, sc_release_);
     allocator_.release(*job.alloc);
   }
-  --live_jobs_;
-  if (faults_on_) {
+  if (cfg_.fault.enabled) {
     ++tally_.fault.goodput_jobs;
     unbind_nodes(job);
   }
@@ -610,29 +606,32 @@ void RackCosim::drain_backlog() {
 // here is matched by exactly one later pop of the same value — the factor
 // stack never holds two entries from the same component instance, and when a
 // pair's last fault repairs, the empty product restores exactly 1.0.
-
-void RackCosim::scale_mcm_pairs(int mcm, double factor, bool fail) {
-  // A crashed MCM severs every pair touching it, both directions.
-  for (int d = 0; d < cfg_.fabric.mcms; ++d) {
-    if (d == mcm) continue;
-    if (fail) {
-      fabric_->push_pair_factor(mcm, d, factor);
-      fabric_->push_pair_factor(d, mcm, factor);
-    } else {
-      fabric_->pop_pair_factor(mcm, d, factor);
-      fabric_->pop_pair_factor(d, mcm, factor);
-    }
-  }
-}
-
-void RackCosim::scale_laser_pairs(int src, double factor, bool fail) {
-  // A degraded comb laser dims only the wavelengths its own port transmits.
-  for (int d = 0; d < cfg_.fabric.mcms; ++d) {
-    if (d == src) continue;
-    if (fail)
-      fabric_->push_pair_factor(src, d, factor);
+void RackCosim::scale_fault_pairs(const fault::FaultEvent& ev) {
+  const auto scale = [&](int src, int dst, double factor) {
+    if (ev.kind == fault::FaultKind::kFail)
+      fabric_->push_pair_factor(src, dst, factor);
     else
-      fabric_->pop_pair_factor(src, d, factor);
+      fabric_->pop_pair_factor(src, dst, factor);
+  };
+  switch (ev.cls) {
+    case fault::ComponentClass::kMcm:
+      // A crashed MCM severs every pair touching it, both directions.
+      for (int d = 0; d < cfg_.fabric.mcms; ++d) {
+        if (d == ev.a) continue;
+        scale(ev.a, d, 0.0);
+        scale(d, ev.a, 0.0);
+      }
+      break;
+    case fault::ComponentClass::kLink:
+      scale(ev.a, ev.b, 0.0);
+      break;
+    case fault::ComponentClass::kLaser:
+      // A degraded comb laser dims only the wavelengths its own port transmits.
+      for (int d = 0; d < cfg_.fabric.mcms; ++d)
+        if (d != ev.a) scale(ev.a, d, cfg_.fault.degrade_fraction);
+      break;
+    case fault::ComponentClass::kNode:
+      break;  // node capacity lives in the allocator, not the fabric
   }
 }
 
@@ -694,7 +693,7 @@ std::vector<std::uint64_t> RackCosim::victims_of(const fault::FaultEvent& ev) co
           break;
         }
         for (std::size_t i = 0; i < job.flow_ids.size() && !hit; ++i)
-          hit = job.flow_open[i] && severs(ev, job.plan.flows[i]);
+          hit = job.flow_ids[i] != kClosedFlow && severs(ev, job.plan.flows[i]);
         break;
       case fault::ComponentClass::kNode:
         hit = disagg ? job.home_node == ev.a
@@ -724,10 +723,9 @@ void RackCosim::revoke_job(std::uint64_t job_id, const fault::FaultEvent& ev) {
   // A mid-collective victim also holds phase flows and a pending phase
   // event inside its runner; abort tears both down before the release.
   if (job.runner) job.runner->abort();
-  for (std::size_t i = 0; i < job.flow_ids.size(); ++i)
-    if (job.flow_open[i]) engine_.close(job.flow_ids[i], now);
+  for (const std::uint64_t id : job.flow_ids)
+    if (id != kClosedFlow) engine_.close(id, now);
   allocator_.revoke(*job.alloc);
-  --live_jobs_;
   unbind_nodes(job);
   ++tally_.fault.interrupted;
   tally_.fault.work_lost_ms += to_ms(now - job.placed_at);
@@ -763,9 +761,9 @@ void RackCosim::resume_degraded(std::uint64_t job_id, const fault::FaultEvent& e
   // Drop the flows stranded on the dead component; survivors keep their
   // admission-time reservations.
   for (std::size_t i = 0; i < job.flow_ids.size(); ++i) {
-    if (!job.flow_open[i] || !severs(ev, job.plan.flows[i])) continue;
+    if (job.flow_ids[i] == kClosedFlow || !severs(ev, job.plan.flows[i])) continue;
     engine_.close(job.flow_ids[i], now);
-    job.flow_open[i] = 0;
+    job.flow_ids[i] = kClosedFlow;
   }
   // A job whose every flow died crawls at the floor speed — an empty sum
   // must not read as full speed.
@@ -833,19 +831,7 @@ void RackCosim::on_fault(const fault::FaultEvent& ev) {
     // Capacity first, victims second: a victim's surviving flows must be
     // judged against the post-fault fabric.  Node capacity is the exception
     // — static victims have to be revoked before their nodes can retire.
-    switch (ev.cls) {
-      case fault::ComponentClass::kMcm:
-        scale_mcm_pairs(ev.a, 0.0, /*fail=*/true);
-        break;
-      case fault::ComponentClass::kLink:
-        fabric_->push_pair_factor(ev.a, ev.b, 0.0);
-        break;
-      case fault::ComponentClass::kLaser:
-        scale_laser_pairs(ev.a, cfg_.fault.degrade_fraction, /*fail=*/true);
-        break;
-      case fault::ComponentClass::kNode:
-        break;
-    }
+    scale_fault_pairs(ev);
     engine_.refresh_view(now);
     for (const std::uint64_t id : victims_of(ev)) {
       // A crashed node cannot run degraded — its CPUs are gone.  Fabric
@@ -868,20 +854,10 @@ void RackCosim::on_fault(const fault::FaultEvent& ev) {
     ++tally_.fault.repairs;
     // Each repair pops exactly the factor its fail pushed; faults still
     // active on the same pairs keep their own contributions in the product.
-    switch (ev.cls) {
-      case fault::ComponentClass::kMcm:
-        scale_mcm_pairs(ev.a, 0.0, /*fail=*/false);
-        break;
-      case fault::ComponentClass::kLink:
-        fabric_->pop_pair_factor(ev.a, ev.b, 0.0);
-        break;
-      case fault::ComponentClass::kLaser:
-        scale_laser_pairs(ev.a, cfg_.fault.degrade_fraction, /*fail=*/false);
-        break;
-      case fault::ComponentClass::kNode:
-        allocator_.bring_nodes_online(1);
-        node_owner_[static_cast<std::size_t>(ev.a)] = 0;
-        break;
+    scale_fault_pairs(ev);
+    if (ev.cls == fault::ComponentClass::kNode) {
+      allocator_.bring_nodes_online(1);
+      node_owner_[static_cast<std::size_t>(ev.a)] = 0;
     }
     engine_.refresh_view(now);
     drain_backlog();  // restored capacity may admit backlogged work
@@ -952,7 +928,7 @@ void RackCosim::finish() { queue_.run(); }
 
 CosimTally RackCosim::tally() const {
   CosimTally t = tally_;
-  t.censored_running = live_jobs_;
+  t.censored_running = live_map_.size();
   t.events = queue_.stats();
   t.flows = engine_.tally();
   t.energy_joules = energy_.joules();

@@ -208,7 +208,7 @@ class RackCosim {
   [[nodiscard]] const disagg::RackAllocator& allocator() const { return allocator_; }
   [[nodiscard]] const net::WavelengthFabric& fabric() const { return *fabric_; }
   [[nodiscard]] double fabric_utilization() const { return engine_.fabric_utilization(); }
-  [[nodiscard]] std::uint64_t live_jobs() const { return live_jobs_; }
+  [[nodiscard]] std::uint64_t live_jobs() const { return live_map_.size(); }
   [[nodiscard]] std::size_t queued_jobs() const { return backlog_.size(); }
 
   // Everything one job will do, drawn up front from the job's own RNG child
@@ -290,14 +290,17 @@ class RackCosim {
     bool record = true;
   };
 
+  /// LiveJob::flow_ids entry of a flow a fault already closed (FlowEngine
+  /// ids start at 1).
+  static constexpr std::uint64_t kClosedFlow = 0;
+
   /// A running job the fault engine can find, revoke, degrade or complete.
   /// Only populated state the completion/fault paths need; keyed by a
   /// cosim-local id so the completion event is cancellable on revocation.
   struct LiveJob {
     JobPlan plan;
     std::shared_ptr<disagg::Allocation> alloc;
-    std::vector<std::uint64_t> flow_ids;
-    std::vector<char> flow_open;      // parallel to flow_ids; 0 once closed
+    std::vector<std::uint64_t> flow_ids;  // kClosedFlow once a fault closed it
     sim::TimePs arrived = 0;          // original arrival (survives requeues)
     sim::TimePs placed_at = 0;        // this segment's placement time
     sim::TimePs segment_start = 0;    // last (re)stretch point
@@ -330,8 +333,10 @@ class RackCosim {
   std::unique_ptr<traffic::ArrivalProcess> arrival_process_;
   std::uint64_t next_job_index_ = 0;
 
-  std::uint64_t live_jobs_ = 0;
   std::deque<PendingJob> backlog_;
+  /// Every placed, not yet finished job; its size is the live-job count.
+  std::unordered_map<std::uint64_t, LiveJob> live_map_;
+  std::uint64_t next_live_id_ = 1;
   /// Run-long accumulators (jobs, speed/stretch, faults, training stream);
   /// tally() adds the snapshot fields to a copy.
   CosimTally tally_;
@@ -339,10 +344,7 @@ class RackCosim {
   double photonic_w_ = 0.0;
 
   // --- fault engine (all empty / untouched when cfg_.fault.enabled=false) ---
-  bool faults_on_ = false;
   std::unique_ptr<fault::FaultScheduler> fault_sched_;
-  std::unordered_map<std::uint64_t, LiveJob> live_map_;
-  std::uint64_t next_live_id_ = 1;
   /// Per rack node: 0 = free, kNodeOffline = crashed, else the static job
   /// id exclusively holding it.  Disagg jobs never own entries here; their
   /// node dependency is the round-robin `home_node` on the LiveJob.
@@ -413,10 +415,9 @@ class RackCosim {
   // Fault capacity effects ride the fabric's composable factor stack
   // (push_pair_factor / pop_pair_factor), so overlapping faults on the same
   // pair — an MCM crash atop a degraded laser — compose multiplicatively
-  // and each repair removes exactly its own contribution.  `fail` pushes,
-  // repair pops the same value.
-  void scale_mcm_pairs(int mcm, double factor, bool fail);   // both directions
-  void scale_laser_pairs(int src, double factor, bool fail); // src side only
+  // and each repair removes exactly its own contribution: a fail pushes the
+  // fault's factor on every pair it touches, the repair pops the same value.
+  void scale_fault_pairs(const fault::FaultEvent& ev);
   void close_remote(const JobPlan& plan, bool placed);
 };
 

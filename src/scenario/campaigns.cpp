@@ -1,13 +1,9 @@
 #include "scenario/campaigns.hpp"
 
-#include <chrono>
 #include <cstdint>
-#include <future>
-#include <map>
-#include <memory>
-#include <mutex>
+#include <optional>
 #include <stdexcept>
-#include <tuple>
+#include <string>
 
 #include "cluster/cluster_cosim.hpp"
 #include "collectives/collective.hpp"
@@ -84,130 +80,78 @@ const std::vector<std::string> kCpuColumns = {
     "suite",   "input",    "bench",       "core", "extra_ns", "baseline_ns",
     "time_ns", "slowdown", "llc_miss_rate", "ipc"};
 
-/// Single-flight memo: concurrent get()s of one key share one in-flight
-/// computation via a shared_future, so parallel sweep workers never
-/// duplicate a recording (the PR 2 memo they replace allowed that).  With
-/// a nonzero capacity, completed entries beyond it are LRU-evicted — an
-/// eviction at worst recomputes later and, the computations being
-/// bit-deterministic, never changes results.  A failed computation is
-/// removed (matched by entry id, in case eviction already dropped it) so a
-/// later get() retries; every sharer of the failed flight rethrows.
-template <typename Key, typename Value>
-class SingleFlightCache {
+/// Per-thread memo of the last recording an evaluator made.  SweepRunner
+/// runs all specs sharing a work key on one thread, back to back, so one
+/// entry per thread serves the whole group and live recordings are bounded
+/// by the worker count.  Callers outside the runner stay correct: they just
+/// re-record when keys interleave.  A failed recording is not stored.
+template <typename Value>
+class LastRecording {
  public:
-  explicit SingleFlightCache(std::size_t capacity = 0) : capacity_(capacity) {}
-
-  template <typename Compute>
-  Value get(const Key& key, Compute&& compute) {
-    std::shared_future<Value> fut;
-    std::promise<Value> prom;
-    std::uint64_t id = 0;
-    bool owner = false;
-    {
-      std::lock_guard lock(mu_);
-      ++tick_;
-      const auto it = entries_.find(key);
-      if (it != entries_.end()) {
-        it->second.last_use = tick_;
-        fut = it->second.fut;
-      } else {
-        owner = true;
-        id = tick_;
-        fut = prom.get_future().share();
-        if (capacity_ != 0) evict_locked();
-        entries_.emplace(key, Entry{fut, tick_, id});
-      }
+  template <typename Record>
+  const Value& get(const std::string& key, Record&& record) {
+    if (!value_ || key_ != key) {
+      value_.reset();  // free the previous recording before making the next
+      value_.emplace(record());
+      key_ = key;
     }
-    if (owner) {
-      try {
-        prom.set_value(compute());
-      } catch (...) {
-        prom.set_exception(std::current_exception());
-        std::lock_guard lock(mu_);
-        const auto it = entries_.find(key);
-        if (it != entries_.end() && it->second.id == id) entries_.erase(it);
-      }
-    }
-    return fut.get();  // rethrows a computation failure to every sharer
+    return *value_;
   }
 
  private:
-  struct Entry {
-    std::shared_future<Value> fut;
-    std::uint64_t last_use = 0;
-    std::uint64_t id = 0;
-  };
-
-  void evict_locked() {
-    while (entries_.size() >= capacity_) {
-      auto victim = entries_.end();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->second.fut.wait_for(std::chrono::seconds(0)) !=
-            std::future_status::ready)
-          continue;  // never evict an in-flight computation
-        if (victim == entries_.end() || it->second.last_use < victim->second.last_use)
-          victim = it;
-      }
-      if (victim == entries_.end()) return;  // everything in flight
-      entries_.erase(victim);
-    }
-  }
-
-  std::mutex mu_;
-  std::map<Key, Entry> entries_;
-  std::uint64_t tick_ = 0;
-  std::size_t capacity_;
+  std::string key_;
+  std::optional<Value> value_;
 };
 
-/// Process-wide cache of recorded CPU miss profiles: one instrumented
-/// simulation per (benchmark, full cpusim config, seed) serves the baseline
-/// AND every extra_ns grid point as an O(misses) replay, bit-identical to
-/// simulating each point from scratch.  The config enters the key as the
-/// registry's canonical snapshot string, so ANY --set cpusim.* override
-/// (hierarchy geometry, core width, prefetcher...) records its own profile
-/// instead of aliasing the default one.  Bounded: grid order keeps one
-/// benchmark's latency points adjacent, so a handful of live profiles
-/// bounds memory.
-std::shared_ptr<const cpusim::MissProfile> cpu_profile(
-    const workloads::CpuBenchmark& bench, const cpusim::SimConfig& cfg,
-    const workloads::TraceConfig& trace_cfg) {
-  using Key = std::tuple<std::string, std::string, std::uint64_t>;
-  static SingleFlightCache<Key, std::shared_ptr<const cpusim::MissProfile>> cache(12);
-  const Key key{bench.full_name(), config::registry().snapshot("cpusim", cfg),
-                trace_cfg.seed};
-  return cache.get(key, [&] {
-    workloads::SyntheticTrace trace(trace_cfg);
-    return std::make_shared<const cpusim::MissProfile>(
-        cpusim::record_miss_profile(trace, cfg));
-  });
-}
+/// What one CPU spec records.  The recording is latency-independent, so
+/// the baseline and the perturbed point are both O(misses) replays of one
+/// profile per (benchmark, cpusim config at extra_ns = 0, trace seed),
+/// bit-identical to simulating each point from scratch.  The config enters
+/// the key as the registry's canonical snapshot string, so ANY --set
+/// cpusim.* override (hierarchy geometry, core width, prefetcher...)
+/// records its own profile instead of aliasing the default one.
+struct CpuPoint {
+  const workloads::CpuBenchmark& bench;
+  double extra_ns;
+  cpusim::SimConfig record_cfg;  // extra_ns zeroed
+  workloads::TraceConfig trace;
+  std::string key;
+};
 
-std::vector<ResultRow> eval_cpu_point(const ScenarioSpec& spec) {
+CpuPoint cpu_point(const ScenarioSpec& spec) {
   const auto& bench = find_cpu_benchmark(spec.at("bench"));
-
   cpusim::SimConfig cfg = spec.resolve<cpusim::SimConfig>("cpusim");
   const double extra = cfg.dram.extra_ns;
-
-  workloads::TraceConfig trace_cfg = bench.trace;
+  cfg.dram.extra_ns = 0.0;
+  workloads::TraceConfig trace = bench.trace;
   // base_seed == 0 keeps the registry seed (the paper's numbers); otherwise
   // the scenario re-seeds itself.
-  if (spec.base_seed != 0) trace_cfg.seed = spec.derived_seed();
+  if (spec.base_seed != 0) trace.seed = spec.derived_seed();
+  std::string key = bench.full_name() + '\n' + config::registry().snapshot("cpusim", cfg) +
+                    '\n' + std::to_string(trace.seed);
+  return {bench, extra, cfg, trace, std::move(key)};
+}
 
-  // One profile per (bench, config-at-extra=0): the recording is
-  // latency-independent, so the baseline and the perturbed point are both
-  // replays of it.
-  cfg.dram.extra_ns = 0.0;
-  const auto profile = cpu_profile(bench, cfg, trace_cfg);
-  const cpusim::SimResult baseline = cpusim::replay_profile(*profile, 0.0);
+std::string cpu_work_key(const ScenarioSpec& spec) { return cpu_point(spec).key; }
+
+std::vector<ResultRow> eval_cpu_point(const ScenarioSpec& spec) {
+  const CpuPoint point = cpu_point(spec);
+  thread_local LastRecording<cpusim::MissProfile> memo;
+  const cpusim::MissProfile& profile = memo.get(point.key, [&] {
+    workloads::SyntheticTrace trace(point.trace);
+    return cpusim::record_miss_profile(trace, point.record_cfg);
+  });
+  const cpusim::SimResult baseline = cpusim::replay_profile(profile, 0.0);
   const cpusim::SimResult result =
-      extra != 0.0 ? cpusim::replay_profile(*profile, extra) : baseline;
+      point.extra_ns != 0.0 ? cpusim::replay_profile(profile, point.extra_ns) : baseline;
 
+  const auto& bench = point.bench;
   ResultRow row;
   row.cells = {bench.suite,
                bench.input,
                bench.full_name(),
                spec.at("cpusim.core.kind"),
-               num_to_string(extra),
+               num_to_string(point.extra_ns),
                num_to_string(baseline.time_ns),
                num_to_string(result.time_ns),
                num_to_string(result.time_ns / baseline.time_ns - 1.0),
@@ -232,37 +176,40 @@ const std::vector<std::string> kGpuColumns = {
     "app",     "suite",    "extra_ns",     "derate",
     "baseline_us", "time_us", "slowdown", "l2_miss_rate"};
 
-/// GPU counterpart of the CPU profile cache: the per-kernel L2 simulation
-/// is independent of extra_hbm_ns and the bandwidth derate (the axes the
-/// GPU campaigns sweep), so one AppMissProfile per (app, base config)
-/// serves every grid point.  The base config (latency axes zeroed) keys
-/// the cache via its registry snapshot, so --set gpusim.* geometry
-/// overrides record their own profiles.  Profiles are a few doubles each,
-/// so unbounded (capacity 0).
-std::shared_ptr<const gpusim::AppMissProfile> gpu_app_profile(
-    const gpusim::AppProfile& app, const gpusim::GpuConfig& base) {
-  using Key = std::pair<std::string, std::string>;
-  static SingleFlightCache<Key, std::shared_ptr<const gpusim::AppMissProfile>> cache;
-  const Key key{app.name, config::registry().snapshot("gpusim", base)};
-  return cache.get(key, [&] {
-    return std::make_shared<const gpusim::AppMissProfile>(
-        gpusim::record_app_profile(app, base));
-  });
-}
+/// What one GPU spec records.  The per-kernel L2 simulation is independent
+/// of extra_hbm_ns and the bandwidth derate (the axes the GPU campaigns
+/// sweep), so one AppMissProfile per (app, config with those axes zeroed)
+/// serves every grid point.  The base config keys the recording via its
+/// registry snapshot, so --set gpusim.* geometry overrides record their own.
+struct GpuPoint {
+  const gpusim::AppProfile& app;
+  gpusim::GpuConfig gpu;
+  /// Baseline: the photonic configuration of the same device, zero extra
+  /// latency, full HBM bandwidth.
+  gpusim::GpuConfig base;
+  std::string key;
+};
 
-std::vector<ResultRow> eval_gpu_point(const ScenarioSpec& spec) {
+GpuPoint gpu_point(const ScenarioSpec& spec) {
   const auto& app = find_gpu_app(spec.at("app"));
-
-  gpusim::GpuConfig gpu = spec.resolve<gpusim::GpuConfig>("gpusim");
-  // Baseline is always the photonic configuration of the same device: zero
-  // extra latency, full HBM bandwidth.
+  const gpusim::GpuConfig gpu = spec.resolve<gpusim::GpuConfig>("gpusim");
   gpusim::GpuConfig base = gpu;
   base.extra_hbm_ns = 0.0;
   base.hbm_bandwidth_derate = 1.0;
+  std::string key = app.name + '\n' + config::registry().snapshot("gpusim", base);
+  return {app, gpu, base, std::move(key)};
+}
 
-  const auto profile = gpu_app_profile(app, base);
-  const double baseline_us = gpusim::replay_app(app, *profile, base).time_us;
-  const gpusim::AppResult result = gpusim::replay_app(app, *profile, gpu);
+std::string gpu_work_key(const ScenarioSpec& spec) { return gpu_point(spec).key; }
+
+std::vector<ResultRow> eval_gpu_point(const ScenarioSpec& spec) {
+  const GpuPoint point = gpu_point(spec);
+  const auto& app = point.app;
+  thread_local LastRecording<gpusim::AppMissProfile> memo;
+  const gpusim::AppMissProfile& profile =
+      memo.get(point.key, [&] { return gpusim::record_app_profile(app, point.base); });
+  const double baseline_us = gpusim::replay_app(app, profile, point.base).time_us;
+  const gpusim::AppResult result = gpusim::replay_app(app, profile, point.gpu);
 
   ResultRow row;
   row.cells = {app.name,
@@ -800,7 +747,8 @@ std::vector<Campaign> make_campaigns() {
       "Fig 6 (Section VI-B1)",
       kCpuColumns,
       cpu_axes({"inorder", "ooo"}, {35.0}),
-      eval_cpu_point});
+      eval_cpu_point,
+      cpu_work_key});
 
   all.push_back(Campaign{
       "fig8",
@@ -808,7 +756,8 @@ std::vector<Campaign> make_campaigns() {
       "Fig 8 (Section VI-B2)",
       kCpuColumns,
       cpu_axes({"inorder"}, {25.0, 30.0, 35.0}),
-      eval_cpu_point});
+      eval_cpu_point,
+      cpu_work_key});
 
   all.push_back(Campaign{
       "fig9",
@@ -816,7 +765,8 @@ std::vector<Campaign> make_campaigns() {
       "Fig 9 (Section VI-B3)",
       kGpuColumns,
       gpu_axes({25.0, 30.0, 35.0}, {1.0}),
-      eval_gpu_point});
+      eval_gpu_point,
+      gpu_work_key});
 
   all.push_back(Campaign{
       "table1",

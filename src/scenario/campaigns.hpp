@@ -35,6 +35,11 @@ struct Campaign {
   /// randomness seeded from the spec, so sweeps parallelize bit-identically.
   /// May return several rows (table3 emits one row per chip type).
   std::function<std::vector<ResultRow>(const ScenarioSpec&)> evaluate;
+  /// The recording a spec replays, or "" if it shares nothing.  SweepRunner
+  /// runs all specs with one nonempty key on one worker, in grid order, so
+  /// an evaluator can keep its last recording per thread instead of behind
+  /// a shared cache.  Unset: every spec is independent.
+  std::function<std::string(const ScenarioSpec&)> work_key = {};
 
   /// The default grid built from `axes` (validating registry paths).
   [[nodiscard]] SweepGrid default_grid() const;

@@ -1,9 +1,9 @@
 #include "scenario/sweep_runner.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 
 #include "config/bindings.hpp"
 #include "config/manifest.hpp"
@@ -108,20 +108,31 @@ SweepResult SweepRunner::run(const Campaign& campaign, const SweepGrid& grid,
     manifest.overrides.emplace_back(ov.name, ov.values);
   const std::string manifest_json = manifest.to_json(config::registry());
 
-  // Evaluate into per-spec slots so rows serialize in grid order no matter
-  // how the pool schedules the work.
-  std::vector<std::vector<ResultRow>> per_spec(specs.size());
-  auto evaluate = [&](std::size_t i) { per_spec[i] = campaign.evaluate(specs[i]); };
-
-  std::size_t jobs = opt_.jobs ? opt_.jobs : std::thread::hardware_concurrency();
-  jobs = std::max<std::size_t>(1, std::min(jobs, specs.size()));
-  if (jobs == 1) {
-    for (std::size_t i = 0; i < specs.size(); ++i) evaluate(i);
-  } else {
-    sim::ThreadPool pool(jobs);
-    for (std::size_t i = 0; i < specs.size(); ++i) pool.submit([&evaluate, i] { evaluate(i); });
-    pool.wait_idle();  // rethrows the first scenario failure
+  // Specs that replay one recording share a bucket, buckets in order of
+  // first appearance and specs in grid order inside each; a bucket runs on
+  // one worker, so no two workers ever wait on the same recording.
+  std::vector<std::vector<std::size_t>> buckets;
+  std::unordered_map<std::string, std::size_t> bucket_of;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::string key = campaign.work_key ? campaign.work_key(specs[i]) : "";
+    if (key.empty()) {
+      buckets.push_back({i});
+      continue;
+    }
+    const auto [it, fresh] = bucket_of.try_emplace(key, buckets.size());
+    if (fresh) buckets.emplace_back();
+    buckets[it->second].push_back(i);
   }
+
+  // Evaluate into per-spec slots so rows serialize in grid order no matter
+  // how the workers claim the buckets.
+  std::vector<std::vector<ResultRow>> per_spec(specs.size());
+  sim::parallel_for(
+      buckets.size(),
+      [&](std::size_t b) {
+        for (const std::size_t i : buckets[b]) per_spec[i] = campaign.evaluate(specs[i]);
+      },
+      opt_.jobs ? opt_.jobs : std::thread::hardware_concurrency());
 
   SweepResult result;
   result.columns = campaign.columns;

@@ -49,12 +49,13 @@ struct SweepResult {
   [[nodiscard]] double max(const std::string& name, const Filter& filter = {}) const;
 };
 
-/// Executes a campaign's specs on sim::ThreadPool, then serializes all rows
-/// in grid order to every sink once the sweep completes.  Scenario
-/// evaluators seed from their spec, so the output is bit-identical for any
-/// jobs count.  A failed scenario's exception is rethrown here (see
-/// ThreadPool::wait_idle) after the pool drains — sinks see nothing in that
-/// case, so --out files are empty rather than partially written.
+/// Executes a campaign's specs on sim::parallel_for, then serializes all
+/// rows in grid order to every sink once the sweep completes.  Specs with
+/// one nonempty Campaign::work_key run on one worker, in grid order.
+/// Scenario evaluators seed from their spec, so the output is bit-identical
+/// for any jobs count.  A failed scenario's exception is rethrown here after
+/// the workers stop — sinks see nothing in that case, so --out files are
+/// empty rather than partially written.
 class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions opt = {}) : opt_(opt) {}

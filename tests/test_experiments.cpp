@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "scenario/campaigns.hpp"
@@ -29,11 +28,7 @@ class ExperimentsTest : public ::testing::Test {
     cpu_grid.set("cpusim.dram.extra_ns", {"0", "25", "35", "85"});
     cpu_grid.set("cpusim.warmup", {"300000"});
     cpu_grid.set("cpusim.measured", {"600000"});
-    // The four latency points of one (bench, core) are adjacent in grid
-    // order and replay one recorded miss profile, so three of them wait on
-    // its recording: four workers per core keep every core recording.
-    cpu_ = new SweepResult(
-        SweepRunner({.jobs = 4 * std::thread::hardware_concurrency()}).run(fig6, cpu_grid));
+    cpu_ = new SweepResult(SweepRunner().run(fig6, cpu_grid));
 
     const Campaign& fig9 = campaign_by_name("fig9");
     SweepGrid gpu_grid = fig9.default_grid();

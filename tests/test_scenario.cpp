@@ -5,9 +5,15 @@
 // (ReplayByteIdentity).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "config/bindings.hpp"
@@ -283,6 +289,49 @@ TEST(SweepRunner, EvaluatorFailurePropagatesFromParallelRun) {
   });
   EXPECT_THROW(SweepRunner(SweepOptions{.jobs = 4}).run(c), std::runtime_error);
   EXPECT_THROW(SweepRunner(SweepOptions{.jobs = 1}).run(c), std::runtime_error);
+}
+
+TEST(SweepRunner, SpecsSharingAWorkKeyRunOnOneThreadInGridOrder) {
+  // Keys group the eight specs as {0,3,6} {1,4} {2,5}; spec 7 has an
+  // empty key and so runs alone.
+  Campaign c = tiny_campaign([](const ScenarioSpec& spec) {
+    return std::vector<ResultRow>{ResultRow{{spec.at("i"), "0"}}};
+  });
+  c.work_key = [](const ScenarioSpec& spec) -> std::string {
+    const int i = static_cast<int>(spec.num("i"));
+    return i == 7 ? "" : "key" + std::to_string(i % 3);
+  };
+  std::mutex mu;
+  std::vector<std::pair<int, std::thread::id>> seen;  // evaluation order
+  const auto evaluate = c.evaluate;
+  c.evaluate = [&](const ScenarioSpec& spec) {
+    {
+      std::lock_guard lock(mu);
+      seen.emplace_back(static_cast<int>(spec.num("i")), std::this_thread::get_id());
+    }
+    // Long enough that a runner dealing single specs would spread a key's
+    // specs over several workers.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return evaluate(spec);
+  };
+
+  const auto parallel = SweepRunner(SweepOptions{.jobs = 4}).run(c);
+  ASSERT_EQ(seen.size(), 8u);
+  for (int key = 0; key < 3; ++key) {
+    std::vector<int> order;
+    std::set<std::thread::id> threads;
+    for (const auto& [i, thread] : seen) {
+      if (i == 7 || i % 3 != key) continue;
+      order.push_back(i);
+      threads.insert(thread);
+    }
+    EXPECT_EQ(threads.size(), 1u) << "key" << key;
+    EXPECT_TRUE(std::is_sorted(order.begin(), order.end())) << "key" << key;
+  }
+  const auto serial = SweepRunner(SweepOptions{.jobs = 1}).run(c);
+  ASSERT_EQ(parallel.rows.size(), serial.rows.size());
+  for (std::size_t i = 0; i < serial.rows.size(); ++i)
+    EXPECT_EQ(parallel.rows[i].cells, serial.rows[i].cells) << i;
 }
 
 TEST(SweepRunner, MisshapenRowIsRejected) {

@@ -38,14 +38,6 @@ TEST(TableTest, EmptyHeadersThrow) {
   EXPECT_THROW(Table({}), std::invalid_argument);
 }
 
-TEST(TableTest, CsvOutput) {
-  Table t({"A", "B"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_EQ(os.str(), "A,B\n1,2\n");
-}
-
 TEST(Formatting, Fixed) {
   EXPECT_EQ(fmt_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_fixed(-1.0, 0), "-1");
