@@ -35,7 +35,7 @@ int main() {
       const auto report = run(policy, feedback);
       const double kj = report.energy_joules / 1e3;
       table.add_row(
-          {disagg::to_string(policy),
+          {disagg::allocation_policy_codec().name(policy),
            feedback ? "closed" : "open",
            sim::fmt_int(static_cast<long long>(report.jobs.offered)),
            sim::fmt_int(static_cast<long long>(report.jobs.accepted)),

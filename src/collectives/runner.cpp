@@ -74,7 +74,6 @@ void CollectiveRunner::start_phase() {
     const net::FlowSpec fs{src, dst, spec_.demand_gbps, 0};
     const std::uint64_t id = engine_.open(fs, queue_.now());
     open_ids_.push_back(id);
-    open_specs_.push_back(fs);
     const double floor_gbps = spec_.demand_gbps * spec_.min_rate_fraction;
     const double rate_gbps =
         std::max(engine_.result(id).satisfied(), floor_gbps) * spec_.rate_scale;
@@ -98,7 +97,6 @@ void CollectiveRunner::finish_phase() {
   phase_event_live_ = false;
   for (const std::uint64_t id : open_ids_) engine_.close(id, queue_.now());
   open_ids_.clear();
-  open_specs_.clear();
   ++next_phase_;
   start_phase();
 }
@@ -107,7 +105,6 @@ void CollectiveRunner::abort() {
   if (!running_) return;
   for (const std::uint64_t id : open_ids_) engine_.close(id, queue_.now());
   open_ids_.clear();
-  open_specs_.clear();
   if (phase_event_live_) {
     queue_.cancel(phase_event_);
     phase_event_live_ = false;

@@ -64,11 +64,9 @@ class CollectiveRunner {
   void abort();
 
   [[nodiscard]] bool running() const { return running_; }
-  /// The currently open phase flows in fabric-endpoint space, for fault
-  /// victim matching against MCM/link failures.
-  [[nodiscard]] const std::vector<net::FlowSpec>& open_specs() const {
-    return open_specs_;
-  }
+  /// FlowEngine ids of the currently open phase flows (empty between
+  /// phases), for fault victim matching against MCM/link failures.
+  [[nodiscard]] const std::vector<std::uint64_t>& open_ids() const { return open_ids_; }
 
  private:
   void start_phase();
@@ -81,7 +79,6 @@ class CollectiveRunner {
   std::size_t next_phase_ = 0;
 
   std::vector<std::uint64_t> open_ids_;
-  std::vector<net::FlowSpec> open_specs_;
   std::uint64_t phase_event_ = 0;
   bool phase_event_live_ = false;
   bool running_ = false;

@@ -167,7 +167,6 @@ RackCosim::RackCosim(const rack::RackConfig& rack, disagg::AllocationPolicy poli
     // their event sequence numbers and output bytes are unchanged.
     fault_sched_ = std::make_unique<fault::FaultScheduler>(
         cfg_.fault, cfg_.fabric.mcms, rack_.nodes, cfg_.seed, cfg_.sim_time);
-    node_owner_.assign(static_cast<std::size_t>(rack_.nodes), 0);
     tally_.fault = fault_sched_->tally(cfg_.sim_time);
     tally_.fault.enabled = true;
     fault_sched_->arm(queue_, [this](const fault::FaultEvent& ev) { on_fault(ev); });
@@ -419,12 +418,12 @@ bool RackCosim::admit(PendingJob& job) {
 
 bool RackCosim::try_start(const PendingJob& pending) {
   const JobPlan& plan = pending.plan;
-  std::shared_ptr<disagg::Allocation> alloc;
+  disagg::Allocation alloc;
   {
     obs::ScopedTimer timer(obs_.profiler, sc_allocate_);
-    alloc = std::make_shared<disagg::Allocation>(allocator_.allocate(plan.request));
+    alloc = allocator_.allocate(plan.request);
   }
-  if (!alloc->placed) return false;
+  if (!alloc.placed) return false;
   const sim::TimePs now = queue_.now();
   const sim::TimePs wait = now - pending.arrived;
   // `record` is false only for fault-requeued jobs: their acceptance, wait
@@ -448,7 +447,6 @@ bool RackCosim::try_start(const PendingJob& pending) {
   job.placed_at = now;
   job.segment_start = now;
   job.remaining_base = static_cast<double>(plan.base_hold);
-  if (cfg_.fault.enabled) bind_nodes(job_id);
   if (plan.ml.is_ml) {
     // Training jobs skip the HPC hold/stretch machinery entirely: their
     // lifetime is the event-driven step loop (compute segment, then a
@@ -564,12 +562,9 @@ void RackCosim::complete_job(std::uint64_t job_id) {
     if (id != kClosedFlow) engine_.close(id, queue_.now());
   {
     obs::ScopedTimer timer(obs_.profiler, sc_release_);
-    allocator_.release(*job.alloc);
+    allocator_.release(job.alloc);
   }
-  if (cfg_.fault.enabled) {
-    ++tally_.fault.goodput_jobs;
-    unbind_nodes(job);
-  }
+  if (cfg_.fault.enabled) ++tally_.fault.goodput_jobs;
   if (job.plan.ml.is_ml) {
     // ML slowdown is known only at completion (steps ran at live collective
     // speeds, not an admission-time stretch); revoked jobs never reach here,
@@ -635,42 +630,6 @@ void RackCosim::scale_fault_pairs(const fault::FaultEvent& ev) {
   }
 }
 
-void RackCosim::bind_nodes(std::uint64_t job_id) {
-  LiveJob& job = live_map_.at(job_id);
-  if (allocator_.policy() == disagg::AllocationPolicy::kStaticNodes) {
-    // Pin the grant to concrete free nodes, first-fit, so a node fault has
-    // exact victims instead of probabilistic ones.  The allocator already
-    // guaranteed enough free nodes; disagreement here is a sequencing bug.
-    job.bound_nodes.reserve(static_cast<std::size_t>(job.alloc->nodes));
-    for (int n = 0; n < rack_.nodes &&
-                    static_cast<int>(job.bound_nodes.size()) < job.alloc->nodes;
-         ++n) {
-      if (node_owner_[static_cast<std::size_t>(n)] != 0) continue;
-      node_owner_[static_cast<std::size_t>(n)] = job_id;
-      job.bound_nodes.push_back(n);
-    }
-    if (static_cast<int>(job.bound_nodes.size()) != job.alloc->nodes)
-      throw std::logic_error("bind_nodes: allocator and node map disagree");
-  } else {
-    // Round-robin home node: the place whose pooled CPUs host this job's
-    // threads.  Pooled memory/NIC capacity has no single home — that is the
-    // disaggregation dividend the blast-radius campaign measures.
-    for (int tries = 0; tries < rack_.nodes; ++tries) {
-      const int cand =
-          static_cast<int>(next_home_++ % static_cast<std::size_t>(rack_.nodes));
-      if (node_owner_[static_cast<std::size_t>(cand)] != kNodeOffline) {
-        job.home_node = cand;
-        break;
-      }
-    }
-  }
-}
-
-void RackCosim::unbind_nodes(const LiveJob& job) {
-  for (const int n : job.bound_nodes)
-    node_owner_[static_cast<std::size_t>(n)] = 0;
-}
-
 std::vector<std::uint64_t> RackCosim::victims_of(const fault::FaultEvent& ev) const {
   std::vector<std::uint64_t> out;
   const bool disagg =
@@ -679,26 +638,22 @@ std::vector<std::uint64_t> RackCosim::victims_of(const fault::FaultEvent& ev) co
     bool hit = false;
     switch (ev.cls) {
       case fault::ComponentClass::kMcm:
-      case fault::ComponentClass::kLink:
+      case fault::ComponentClass::kLink: {
         // Blast-radius asymmetry: only disaggregated jobs depend on the
         // fabric to reach their memory.  A static job's flows model traffic
         // that is node-local in that regime, so fabric faults pass it by.
         if (!disagg) break;
-        if (job.plan.ml.is_ml) {
-          // A training job touches the fabric only during collective phases;
-          // mid-compute it has no open flows and a fabric fault passes it by.
-          if (job.runner)
-            for (const net::FlowSpec& spec : job.runner->open_specs())
-              if ((hit = severs(ev, spec))) break;
-          break;
-        }
-        for (std::size_t i = 0; i < job.flow_ids.size() && !hit; ++i)
-          hit = job.flow_ids[i] != kClosedFlow && severs(ev, job.plan.flows[i]);
+        // A training job's open flows are its runner's current phase: none
+        // mid-compute, so a fabric fault then passes it by.
+        const std::vector<std::uint64_t>& open =
+            job.runner ? job.runner->open_ids() : job.flow_ids;
+        for (std::size_t i = 0; i < open.size() && !hit; ++i)
+          hit = open[i] != kClosedFlow && severs(ev, engine_.spec(open[i]));
         break;
+      }
       case fault::ComponentClass::kNode:
-        hit = disagg ? job.home_node == ev.a
-                     : std::find(job.bound_nodes.begin(), job.bound_nodes.end(),
-                                 ev.a) != job.bound_nodes.end();
+        hit = std::find(job.alloc.hosts.begin(), job.alloc.hosts.end(), ev.a) !=
+              job.alloc.hosts.end();
         break;
       case fault::ComponentClass::kLaser:
         break;  // capacity-only: degrades future placements, strands no one
@@ -725,8 +680,7 @@ void RackCosim::revoke_job(std::uint64_t job_id, const fault::FaultEvent& ev) {
   if (job.runner) job.runner->abort();
   for (const std::uint64_t id : job.flow_ids)
     if (id != kClosedFlow) engine_.close(id, now);
-  allocator_.revoke(*job.alloc);
-  unbind_nodes(job);
+  allocator_.revoke(job.alloc);
   ++tally_.fault.interrupted;
   tally_.fault.work_lost_ms += to_ms(now - job.placed_at);
   if (obs_.trace)
@@ -760,10 +714,10 @@ void RackCosim::resume_degraded(std::uint64_t job_id, const fault::FaultEvent& e
   job.remaining_base = std::max(0.0, job.remaining_base - done_base);
   // Drop the flows stranded on the dead component; survivors keep their
   // admission-time reservations.
-  for (std::size_t i = 0; i < job.flow_ids.size(); ++i) {
-    if (job.flow_ids[i] == kClosedFlow || !severs(ev, job.plan.flows[i])) continue;
-    engine_.close(job.flow_ids[i], now);
-    job.flow_ids[i] = kClosedFlow;
+  for (std::uint64_t& id : job.flow_ids) {
+    if (id == kClosedFlow || !severs(ev, engine_.spec(id))) continue;
+    engine_.close(id, now);
+    id = kClosedFlow;
   }
   // A job whose every flow died crawls at the floor speed — an empty sum
   // must not read as full speed.
@@ -846,19 +800,13 @@ void RackCosim::on_fault(const fault::FaultEvent& ev) {
       else
         revoke_job(id, ev);
     }
-    if (ev.cls == fault::ComponentClass::kNode) {
-      allocator_.take_nodes_offline(1);
-      node_owner_[static_cast<std::size_t>(ev.a)] = kNodeOffline;
-    }
+    if (ev.cls == fault::ComponentClass::kNode) allocator_.take_node_offline(ev.a);
   } else {
     ++tally_.fault.repairs;
     // Each repair pops exactly the factor its fail pushed; faults still
     // active on the same pairs keep their own contributions in the product.
     scale_fault_pairs(ev);
-    if (ev.cls == fault::ComponentClass::kNode) {
-      allocator_.bring_nodes_online(1);
-      node_owner_[static_cast<std::size_t>(ev.a)] = 0;
-    }
+    if (ev.cls == fault::ComponentClass::kNode) allocator_.bring_node_online(ev.a);
     engine_.refresh_view(now);
     drain_backlog();  // restored capacity may admit backlogged work
   }

@@ -299,7 +299,7 @@ class RackCosim {
   /// cosim-local id so the completion event is cancellable on revocation.
   struct LiveJob {
     JobPlan plan;
-    std::shared_ptr<disagg::Allocation> alloc;
+    disagg::Allocation alloc;             // names the nodes the job depends on
     std::vector<std::uint64_t> flow_ids;  // kClosedFlow once a fault closed it
     sim::TimePs arrived = 0;          // original arrival (survives requeues)
     sim::TimePs placed_at = 0;        // this segment's placement time
@@ -308,8 +308,6 @@ class RackCosim {
     double remaining_base = 0.0;      // unstretched work left at segment_start
     std::uint64_t completion = 0;     // cancellable completion event id
     int retries = 0;
-    int home_node = -1;               // disagg: node whose CPUs host the job
-    std::vector<int> bound_nodes;     // static: exclusively owned nodes
 
     // --- training-job state (null/zero for HPC jobs) ---
     /// Live collective execution; behind a unique_ptr so the runner's queued
@@ -345,12 +343,6 @@ class RackCosim {
 
   // --- fault engine (all empty / untouched when cfg_.fault.enabled=false) ---
   std::unique_ptr<fault::FaultScheduler> fault_sched_;
-  /// Per rack node: 0 = free, kNodeOffline = crashed, else the static job
-  /// id exclusively holding it.  Disagg jobs never own entries here; their
-  /// node dependency is the round-robin `home_node` on the LiveJob.
-  static constexpr std::uint64_t kNodeOffline = ~std::uint64_t{0};
-  std::vector<std::uint64_t> node_owner_;
-  std::size_t next_home_ = 0;
 
   // --- cluster hooks (null for a standalone rack — zero behavior change) ---
   SpillHandler spill_;
@@ -410,8 +402,6 @@ class RackCosim {
   void revoke_job(std::uint64_t job_id, const fault::FaultEvent& ev);
   void resume_degraded(std::uint64_t job_id, const fault::FaultEvent& ev);
   void schedule_retry(JobPlan plan, sim::TimePs arrived, int retries);
-  void bind_nodes(std::uint64_t job_id);
-  void unbind_nodes(const LiveJob& job);
   // Fault capacity effects ride the fabric's composable factor stack
   // (push_pair_factor / pop_pair_factor), so overlapping faults on the same
   // pair — an MCM crash atop a degraded laser — compose multiplicatively

@@ -27,14 +27,6 @@ const config::EnumCodec<AllocationPolicy>& allocation_policy_codec() {
   return codec;
 }
 
-AllocationPolicy parse_allocation_policy(const std::string& v) {
-  return allocation_policy_codec().parse(v);
-}
-
-const char* to_string(AllocationPolicy policy) {
-  return allocation_policy_codec().name(policy).c_str();
-}
-
 RackAllocator::RackAllocator(const rack::RackConfig& rack, AllocationPolicy policy,
                              double memory_gb_per_node, double nic_gbps_per_node)
     : policy_(policy),
@@ -43,7 +35,8 @@ RackAllocator::RackAllocator(const rack::RackConfig& rack, AllocationPolicy poli
       gpus_per_node_(rack.node.gpus),
       memory_per_node_(sim::to_quanta(memory_gb_per_node)),
       nic_per_node_(sim::to_quanta(nic_gbps_per_node)),
-      free_nodes_(rack.nodes) {
+      free_nodes_(rack.nodes),
+      node_state_(static_cast<std::size_t>(rack.nodes), NodeState::kFree) {
   pools_.cpus_total = nodes_ * cpus_per_node_;
   pools_.gpus_total = nodes_ * gpus_per_node_;
   pools_.memory_total = nodes_ * memory_per_node_;
@@ -70,6 +63,13 @@ Allocation RackAllocator::allocate(const JobRequest& req) {
                                nodes_for(nic, nic_per_node_)});
     if (need > free_nodes_) return a;
     free_nodes_ -= need;
+    a.hosts.reserve(static_cast<std::size_t>(need));
+    for (int n = 0; static_cast<int>(a.hosts.size()) < need; ++n) {
+      NodeState& state = node_state_[static_cast<std::size_t>(n)];
+      if (state != NodeState::kFree) continue;
+      state = NodeState::kGranted;
+      a.hosts.push_back(n);
+    }
     a.placed = true;
     a.nodes = need;
     a.cpus = need * cpus_per_node_;
@@ -90,6 +90,14 @@ Allocation RackAllocator::allocate(const JobRequest& req) {
     a.gpus = req.gpus;
     a.memory = memory;
     a.nic = nic;
+    // The home node advances on every placed grant and skips offline nodes;
+    // with every node offline the grant has no home.
+    for (int tries = 0; tries < nodes_; ++tries) {
+      const int cand = static_cast<int>(next_home_++ % static_cast<std::size_t>(nodes_));
+      if (node_state_[static_cast<std::size_t>(cand)] == NodeState::kOffline) continue;
+      a.hosts.push_back(cand);
+      break;
+    }
   }
   pools_.cpus_used += a.cpus;
   pools_.gpus_used += a.gpus;
@@ -115,47 +123,59 @@ void RackAllocator::reclaim(const Allocation& alloc, bool revoked) {
   // Decrement by the grant this allocator recorded, never by the caller's
   // copy: mutated Allocation fields cannot skew the accounting, and the
   // pools can only ever return to exactly what allocate() charged.
-  const Allocation granted = it->second;
-  live_.erase(it);
+  const Allocation& granted = it->second;
   ++(revoked ? counters_.revocations : counters_.releases);
   pools_.cpus_used -= granted.cpus;
   pools_.gpus_used -= granted.gpus;
   pools_.memory_used -= granted.memory;
   pools_.nic_used -= granted.nic;
   free_nodes_ += granted.nodes;
+  if (policy_ == AllocationPolicy::kStaticNodes)
+    for (const int n : granted.hosts)
+      node_state_[static_cast<std::size_t>(n)] = NodeState::kFree;
   marooned_cpus_ -= granted.marooned_cpus;
   marooned_memory_ -= granted.marooned_memory;
+  live_.erase(it);
 }
 
-void RackAllocator::take_nodes_offline(int count) {
-  if (count <= 0) throw std::invalid_argument("take_nodes_offline: count must be > 0");
-  if (count > nodes_ - offline_nodes_)
-    throw std::logic_error("take_nodes_offline: only " +
-                           std::to_string(nodes_ - offline_nodes_) + " nodes online");
+RackAllocator::NodeState& RackAllocator::node_state(int node, const char* what) {
+  if (node < 0 || node >= nodes_)
+    throw std::out_of_range(std::string(what) + ": no node " + std::to_string(node));
+  return node_state_[static_cast<std::size_t>(node)];
+}
+
+void RackAllocator::take_node_offline(int node) {
+  NodeState& state = node_state(node, "take_node_offline");
   // Under static nodes a node is either whole-free or whole-granted; the
   // fault path must revoke the victims before retiring their nodes, so an
   // occupied node here is a sequencing bug, not a recoverable state.
-  if (policy_ == AllocationPolicy::kStaticNodes && count > free_nodes_)
-    throw std::logic_error("take_nodes_offline: node still allocated (revoke first)");
-  offline_nodes_ += count;
-  free_nodes_ -= count;
-  pools_.cpus_total -= count * cpus_per_node_;
-  pools_.gpus_total -= count * gpus_per_node_;
-  pools_.memory_total -= count * memory_per_node_;
-  pools_.nic_total -= count * nic_per_node_;
+  if (state == NodeState::kGranted)
+    throw std::logic_error("take_node_offline: node " + std::to_string(node) +
+                           " still allocated (revoke first)");
+  if (state == NodeState::kOffline)
+    throw std::logic_error("take_node_offline: node " + std::to_string(node) +
+                           " already offline");
+  state = NodeState::kOffline;
+  ++offline_nodes_;
+  --free_nodes_;
+  pools_.cpus_total -= cpus_per_node_;
+  pools_.gpus_total -= gpus_per_node_;
+  pools_.memory_total -= memory_per_node_;
+  pools_.nic_total -= nic_per_node_;
 }
 
-void RackAllocator::bring_nodes_online(int count) {
-  if (count <= 0) throw std::invalid_argument("bring_nodes_online: count must be > 0");
-  if (count > offline_nodes_)
-    throw std::logic_error("bring_nodes_online: only " +
-                           std::to_string(offline_nodes_) + " nodes offline");
-  offline_nodes_ -= count;
-  free_nodes_ += count;
-  pools_.cpus_total += count * cpus_per_node_;
-  pools_.gpus_total += count * gpus_per_node_;
-  pools_.memory_total += count * memory_per_node_;
-  pools_.nic_total += count * nic_per_node_;
+void RackAllocator::bring_node_online(int node) {
+  NodeState& state = node_state(node, "bring_node_online");
+  if (state != NodeState::kOffline)
+    throw std::logic_error("bring_node_online: node " + std::to_string(node) +
+                           " is online");
+  state = NodeState::kFree;
+  --offline_nodes_;
+  ++free_nodes_;
+  pools_.cpus_total += cpus_per_node_;
+  pools_.gpus_total += gpus_per_node_;
+  pools_.memory_total += memory_per_node_;
+  pools_.nic_total += nic_per_node_;
 }
 
 double RackAllocator::marooned_cpu_fraction() const {

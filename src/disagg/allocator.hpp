@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -32,6 +31,12 @@ struct Allocation {
   sim::Quanta nic = 0;
   int marooned_cpus = 0;            // granted-but-unrequested (static nodes)
   sim::Quanta marooned_memory = 0;
+  /// The rack nodes the grant depends on, so a node crash has exact
+  /// victims: its `nodes` whole nodes under static placement (first-fit
+  /// free online nodes), or the one home node whose CPUs host the job under
+  /// disaggregation (round-robin over online nodes; pooled memory and NIC
+  /// capacity have no single home).
+  std::vector<int> hosts;
   std::uint64_t id = 0;
 };
 
@@ -81,10 +86,6 @@ enum class AllocationPolicy { kStaticNodes, kDisaggregated };
 /// and the config-registry bindings.
 [[nodiscard]] const config::EnumCodec<AllocationPolicy>& allocation_policy_codec();
 
-/// Thin wrappers over allocation_policy_codec() for existing call sites.
-[[nodiscard]] AllocationPolicy parse_allocation_policy(const std::string& v);
-[[nodiscard]] const char* to_string(AllocationPolicy policy);
-
 class RackAllocator {
  public:
   RackAllocator(const rack::RackConfig& rack, AllocationPolicy policy,
@@ -110,15 +111,17 @@ class RackAllocator {
   /// throws std::logic_error BEFORE any pool is touched.
   void revoke(const Allocation& alloc);
 
-  /// Crash-stop `count` nodes: their capacity leaves every pool (and the
-  /// static-node free list).  The caller must revoke the victims bound to
-  /// the dying nodes FIRST — under static nodes taking an occupied node
-  /// offline throws std::logic_error.  Under disaggregation a fault may
-  /// transiently leave used > total; allocate() already rejects in that
-  /// state, so the invariant used <= total is restored as jobs drain.
-  void take_nodes_offline(int count);
-  /// Repair path: restore `count` previously offline nodes' capacity.
-  void bring_nodes_online(int count);
+  /// Crash-stop `node`: its capacity leaves every pool, and no later grant
+  /// names it.  The caller must revoke the grants hosted on it FIRST —
+  /// under static nodes retiring an occupied node throws std::logic_error.
+  /// Under disaggregation a fault may transiently leave used > total;
+  /// allocate() already rejects in that state, so the invariant
+  /// used <= total is restored as jobs drain.  Retiring a node that is
+  /// already offline throws std::logic_error.
+  void take_node_offline(int node);
+  /// Repair path: restore an offline node's capacity (std::logic_error if
+  /// `node` is online).
+  void bring_node_online(int node);
   [[nodiscard]] int offline_nodes() const { return offline_nodes_; }
 
   [[nodiscard]] const PoolState& pools() const { return pools_; }
@@ -139,8 +142,11 @@ class RackAllocator {
   int gpus_per_node_;
   sim::Quanta memory_per_node_;
   sim::Quanta nic_per_node_;
-  int free_nodes_;
+  int free_nodes_;  // online and not held by a static grant
   PoolState pools_;
+  enum class NodeState : std::uint8_t { kFree, kGranted, kOffline };
+  std::vector<NodeState> node_state_;  // kGranted only under static nodes
+  std::size_t next_home_ = 0;          // disaggregated home-node round-robin
   // Grants not yet released, keyed by id; release() decrements by the
   // stored record, never by the caller's (possibly mutated) copy.
   std::unordered_map<std::uint64_t, Allocation> live_;
@@ -151,6 +157,7 @@ class RackAllocator {
   AllocatorCounters counters_;
 
   void reclaim(const Allocation& alloc, bool revoked);
+  [[nodiscard]] NodeState& node_state(int node, const char* what);
 };
 
 }  // namespace photorack::disagg

@@ -45,39 +45,38 @@ std::uint64_t FlowEngine::open(const FlowSpec& spec, sim::TimePs now) {
   tally_.indirect += result.indirect;
   tally_.peak_utilization = std::max(tally_.peak_utilization, fabric_->utilization());
   const std::uint64_t id = next_id_++;
-  // Span endpoints are only known at close; remember the opening here.
-  if (obs_.trace) opened_.emplace(id, OpenedAt{now, spec.src, spec.dst});
-  live_.emplace(id, std::move(result));
+  live_.emplace(id, LiveFlow{spec, std::move(result), now});
   return id;
 }
 
-const RouteResult& FlowEngine::result(std::uint64_t flow_id) const {
+const FlowEngine::LiveFlow& FlowEngine::live(std::uint64_t flow_id) const {
   const auto it = live_.find(flow_id);
   if (it == live_.end())
     throw std::out_of_range("FlowEngine: no live flow with id " + std::to_string(flow_id));
   return it->second;
 }
 
+const RouteResult& FlowEngine::result(std::uint64_t flow_id) const {
+  return live(flow_id).route;
+}
+
+const FlowSpec& FlowEngine::spec(std::uint64_t flow_id) const { return live(flow_id).spec; }
+
 void FlowEngine::close(std::uint64_t flow_id, sim::TimePs now) {
   const auto it = live_.find(flow_id);
   if (it == live_.end())
     throw std::out_of_range("FlowEngine: closing unknown flow id " +
                             std::to_string(flow_id));
-  const RouteResult& route = it->second;
+  const LiveFlow& flow = it->second;
+  const RouteResult& route = flow.route;
   router_.release(route);
-  if (obs_.trace) {
-    const auto opened = opened_.find(flow_id);
-    if (opened != opened_.end()) {
-      const OpenedAt& o = opened->second;
-      obs_.trace->complete(
-          obs::Track::kFlows, "flow", o.at, now,
-          {{"src", static_cast<double>(o.src)},
-           {"dst", static_cast<double>(o.dst)},
-           {"gbps", sim::from_quanta(route.requested)},
-           {"satisfied", sim::ratio(route.direct + route.indirect, route.requested, 1.0)}});
-      opened_.erase(opened);
-    }
-  }
+  if (obs_.trace)
+    obs_.trace->complete(
+        obs::Track::kFlows, "flow", flow.opened_at, now,
+        {{"src", static_cast<double>(flow.spec.src)},
+         {"dst", static_cast<double>(flow.spec.dst)},
+         {"gbps", sim::from_quanta(route.requested)},
+         {"satisfied", sim::ratio(route.direct + route.indirect, route.requested, 1.0)}});
   live_.erase(it);
 }
 

@@ -92,6 +92,9 @@ class FlowEngine {
   std::uint64_t open(const FlowSpec& spec, sim::TimePs now = 0);
   /// Routing outcome of a live flow (throws std::out_of_range for dead ids).
   [[nodiscard]] const RouteResult& result(std::uint64_t flow_id) const;
+  /// The spec a live flow was opened with (throws std::out_of_range for
+  /// dead ids).
+  [[nodiscard]] const FlowSpec& spec(std::uint64_t flow_id) const;
   /// Release every segment the flow reserved; the id becomes invalid.
   void close(std::uint64_t flow_id, sim::TimePs now = 0);
 
@@ -102,24 +105,24 @@ class FlowEngine {
   [[nodiscard]] FlowSimReport report() const { return tally_.report(); }
 
  private:
-  /// Trace-only record of a live flow's opening, kept solely while a
-  /// TraceRecorder is attached (the uninstrumented engine carries no extra
-  /// per-flow state).
-  struct OpenedAt {
-    sim::TimePs at = 0;
-    int src = 0;
-    int dst = 0;
+  /// Everything known about an open flow: what was asked, what the router
+  /// reserved, and when (the trace span's start).
+  struct LiveFlow {
+    FlowSpec spec;
+    RouteResult route;
+    sim::TimePs opened_at = 0;
   };
+
+  [[nodiscard]] const LiveFlow& live(std::uint64_t flow_id) const;
 
   WavelengthFabric* fabric_;
   PiggybackView view_;
   IndirectRouter router_;
-  std::unordered_map<std::uint64_t, RouteResult> live_;
+  std::unordered_map<std::uint64_t, LiveFlow> live_;
   std::uint64_t next_id_ = 1;
 
   obs::Obs obs_{};
   obs::Profiler::ScopeId sc_open_ = 0, sc_refresh_ = 0;
-  std::unordered_map<std::uint64_t, OpenedAt> opened_;  // trace mode only
 
   FlowTally tally_;
 };

@@ -179,32 +179,4 @@ double QuantileSketch::quantile_or(double q, double fallback) const {
   return n_ ? quantile(q) : fallback;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0.0) {
-  if (bins == 0 || !(hi > lo)) throw std::invalid_argument("Histogram: bad range");
-}
-
-void Histogram::add(double x, double weight) {
-  auto idx = static_cast<std::int64_t>((x - lo_) / width_);
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += weight;
-  total_ += weight;
-}
-
-double Histogram::bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-
-double Histogram::cdf(double x) const {
-  if (total_ <= 0.0) return 0.0;
-  if (x < lo_) return 0.0;
-  if (x >= hi_) return 1.0;
-  double acc = 0.0;
-  const auto full = static_cast<std::size_t>((x - lo_) / width_);
-  for (std::size_t i = 0; i < full && i < counts_.size(); ++i) acc += counts_[i];
-  if (full < counts_.size()) {
-    const double frac = (x - bin_lo(full)) / width_;
-    acc += counts_[full] * frac;
-  }
-  return acc / total_;
-}
-
 }  // namespace photorack::sim

@@ -101,25 +101,4 @@ class QuantileSketch {
   std::map<std::int32_t, std::uint64_t> buckets_;  // ordered: rank walks keys
 };
 
-/// Fixed-width histogram on [lo, hi); out-of-range values clamp to the edge
-/// bins.  Used for flow-demand and latency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, double weight = 1.0);
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-  [[nodiscard]] double count(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double total() const { return total_; }
-  /// Fraction of mass at or below x (piecewise-constant CDF).
-  [[nodiscard]] double cdf(double x) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
-};
-
 }  // namespace photorack::sim

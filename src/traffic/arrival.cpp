@@ -177,12 +177,14 @@ std::vector<sim::TimePs> load_arrival_trace(const std::string& path) {
     const std::size_t end = line.find_last_not_of(" \t\r");
     const std::string token = line.substr(start, end - start + 1);
     char* parsed_end = nullptr;
-    const double ms = std::strtod(token.c_str(), &parsed_end);
-    if (parsed_end != token.c_str() + token.size() || !std::isfinite(ms))
+    const double ps = std::strtod(token.c_str(), &parsed_end) *
+                      static_cast<double>(sim::kPsPerMs);
+    // NaN, infinities and values past the TimePs range fail the bound test;
+    // converting them would be undefined.
+    if (parsed_end != token.c_str() + token.size() || !(std::fabs(ps) < 0x1p63))
       throw std::runtime_error("arrival trace: bad timestamp '" + token + "' at " +
                                path + ":" + std::to_string(line_no));
-    times.push_back(
-        static_cast<sim::TimePs>(ms * static_cast<double>(sim::kPsPerMs)));
+    times.push_back(static_cast<sim::TimePs>(ps));
   }
   return times;
 }

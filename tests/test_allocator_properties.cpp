@@ -297,14 +297,14 @@ TEST_P(AllocatorProperties, OfflineNodesShrinkPoolsAndComeBackExactly) {
   RackAllocator alloc(rack, GetParam());
   const PoolState pristine = alloc.pools();
 
-  alloc.take_nodes_offline(3);
+  for (const int n : {0, 5, rack.nodes - 1}) alloc.take_node_offline(n);
   EXPECT_EQ(alloc.offline_nodes(), 3);
   EXPECT_EQ(alloc.free_nodes(), rack.nodes - 3);
   EXPECT_EQ(alloc.pools().cpus_total, pristine.cpus_total - 3 * rack.node.cpus);
   EXPECT_EQ(alloc.pools().gpus_total, pristine.gpus_total - 3 * rack.node.gpus);
   EXPECT_LT(alloc.pools().memory_total, pristine.memory_total);
 
-  alloc.bring_nodes_online(3);
+  for (const int n : {5, 0, rack.nodes - 1}) alloc.bring_node_online(n);
   EXPECT_EQ(alloc.offline_nodes(), 0);
   EXPECT_EQ(alloc.free_nodes(), rack.nodes);
   EXPECT_EQ(alloc.pools().cpus_total, pristine.cpus_total);
@@ -312,11 +312,14 @@ TEST_P(AllocatorProperties, OfflineNodesShrinkPoolsAndComeBackExactly) {
   EXPECT_EQ(alloc.pools().memory_total, pristine.memory_total);
   EXPECT_EQ(alloc.pools().nic_total, pristine.nic_total);
 
-  // Bounds are enforced: cannot repair more than failed, nor fail more than
-  // exist.
-  EXPECT_THROW(alloc.bring_nodes_online(1), std::logic_error);
-  EXPECT_THROW(alloc.take_nodes_offline(rack.nodes + 1), std::logic_error);
-  EXPECT_THROW(alloc.take_nodes_offline(0), std::invalid_argument);
+  // Each node changes state once: no repairing an online node, no failing
+  // an offline one, no node outside the rack.
+  EXPECT_THROW(alloc.bring_node_online(0), std::logic_error);
+  alloc.take_node_offline(0);
+  EXPECT_THROW(alloc.take_node_offline(0), std::logic_error);
+  EXPECT_THROW(alloc.take_node_offline(rack.nodes), std::out_of_range);
+  EXPECT_THROW(alloc.bring_node_online(-1), std::out_of_range);
+  EXPECT_EQ(alloc.offline_nodes(), 1);
 }
 
 TEST(AllocatorOffline, StaticNodesRefuseToRetireAnOccupiedNode) {
@@ -327,14 +330,68 @@ TEST(AllocatorOffline, StaticNodesRefuseToRetireAnOccupiedNode) {
   req.cpus = rack.node.cpus;  // exactly one whole node
   const Allocation a = alloc.allocate(req);
   ASSERT_TRUE(a.placed);
-  // One node free, one granted: retiring both must throw (revoke first).
-  EXPECT_THROW(alloc.take_nodes_offline(2), std::logic_error);
-  alloc.take_nodes_offline(1);  // the free one retires fine
+  ASSERT_EQ(a.hosts, std::vector<int>{0});
+  // Node 0 is granted, node 1 free: node 0 must not retire (revoke first).
+  EXPECT_THROW(alloc.take_node_offline(0), std::logic_error);
+  alloc.take_node_offline(1);  // the free one retires fine
   alloc.revoke(a);
-  alloc.take_nodes_offline(1);  // now the survivor can retire too
+  alloc.take_node_offline(0);  // now the survivor can retire too
   EXPECT_EQ(alloc.free_nodes(), 0);
-  alloc.bring_nodes_online(2);
+  alloc.bring_node_online(0);
+  alloc.bring_node_online(1);
   EXPECT_EQ(alloc.free_nodes(), rack.nodes);
+}
+
+TEST(AllocatorNodes, StaticGrantsNameFirstFitFreeOnlineNodes) {
+  rack::RackConfig rack;
+  rack.nodes = 6;
+  RackAllocator alloc(rack, AllocationPolicy::kStaticNodes);
+  JobRequest two;
+  two.cpus = 2 * rack.node.cpus;
+  JobRequest one;
+  one.cpus = 1;
+  const Allocation a = alloc.allocate(two);
+  const Allocation b = alloc.allocate(one);
+  EXPECT_EQ(a.hosts, (std::vector<int>{0, 1}));
+  EXPECT_EQ(b.hosts, std::vector<int>{2});
+  alloc.take_node_offline(3);
+  alloc.release(a);  // nodes 0 and 1 are free again
+  const Allocation c = alloc.allocate(JobRequest{.cpus = 3 * rack.node.cpus});
+  EXPECT_EQ(c.hosts, (std::vector<int>{0, 1, 4}));  // skips held 2, offline 3
+  alloc.release(b);
+  alloc.release(c);
+  alloc.bring_node_online(3);
+  const Allocation all = alloc.allocate(JobRequest{.cpus = 6 * rack.node.cpus});
+  EXPECT_EQ(all.hosts, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(AllocatorNodes, DisaggregatedHomesRoundRobinAndSkipOfflineNodes) {
+  rack::RackConfig rack;
+  rack.nodes = 4;
+  RackAllocator alloc(rack, AllocationPolicy::kDisaggregated);
+  const JobRequest req{.memory_gb = 1.0};
+  std::vector<int> homes;
+  auto place = [&] {
+    const Allocation a = alloc.allocate(req);
+    EXPECT_TRUE(a.placed);
+    EXPECT_EQ(a.nodes, 0);
+    ASSERT_EQ(a.hosts.size(), 1u);
+    homes.push_back(a.hosts.front());
+  };
+  for (int i = 0; i < 5; ++i) place();
+  EXPECT_EQ(homes, (std::vector<int>{0, 1, 2, 3, 0}));
+  alloc.take_node_offline(2);
+  alloc.take_node_offline(3);
+  homes.clear();
+  for (int i = 0; i < 3; ++i) place();
+  // The counter moves past each skipped node, so the rotation stays fair.
+  EXPECT_EQ(homes, (std::vector<int>{1, 0, 1}));
+  // A failed placement does not advance the rotation.
+  EXPECT_FALSE(alloc.allocate(JobRequest{.cpus = 4 * rack.node.cpus}).placed);
+  alloc.bring_node_online(2);
+  homes.clear();
+  place();
+  EXPECT_EQ(homes, std::vector<int>{2});
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, AllocatorProperties,

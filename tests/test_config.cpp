@@ -88,9 +88,9 @@ TEST(EnumCodecs, ParseErrorListsChoices) {
     EXPECT_NE(std::string(e.what()).find("inorder|ooo|accel"), std::string::npos)
         << e.what();
   }
-  // The legacy wrappers route through the codec.
-  EXPECT_THROW(disagg::parse_allocation_policy("dynamic"), std::invalid_argument);
-  EXPECT_EQ(std::string(disagg::to_string(disagg::AllocationPolicy::kDisaggregated)),
+  EXPECT_THROW((void)disagg::allocation_policy_codec().parse("dynamic"),
+               std::invalid_argument);
+  EXPECT_EQ(disagg::allocation_policy_codec().name(disagg::AllocationPolicy::kDisaggregated),
             "disagg");
 }
 

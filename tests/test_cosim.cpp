@@ -437,7 +437,7 @@ cosim::CosimConfig cosim_config_pre_redesign(const scenario::ScenarioSpec& spec)
 std::vector<scenario::ResultRow> eval_cosim_acceptance_pre_redesign(
     const scenario::ScenarioSpec& spec) {
   const auto report = run_rack_cosim(
-      {}, disagg::parse_allocation_policy(spec.at("policy")),
+      {}, disagg::allocation_policy_codec().parse(spec.at("policy")),
       workloads::UsageModel::cori(), cosim_config_pre_redesign(spec));
   scenario::ResultRow row;
   row.cells = {spec.at("policy"),
@@ -475,7 +475,7 @@ std::vector<scenario::ResultRow> eval_cosim_contention_pre_redesign(
 std::vector<scenario::ResultRow> eval_cosim_energy_pre_redesign(
     const scenario::ScenarioSpec& spec) {
   const auto report = run_rack_cosim(
-      {}, disagg::parse_allocation_policy(spec.at("policy")),
+      {}, disagg::allocation_policy_codec().parse(spec.at("policy")),
       workloads::UsageModel::cori(), cosim_config_pre_redesign(spec));
   const double kj = report.energy_joules / 1e3;
   scenario::ResultRow row;

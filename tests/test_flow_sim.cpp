@@ -145,6 +145,27 @@ TEST(FlowEngine, DeadFlowIdsAreRejected) {
   EXPECT_THROW(engine.close(424242), std::out_of_range);
 }
 
+TEST(FlowEngine, SpecReturnsTheOpeningSpecUntilClose) {
+  auto fabric = make_fabric();
+  FlowEngine engine(fabric, 1 * sim::kPsPerUs, /*router_seed=*/99);
+  const FlowSpec first{.src = 4, .dst = 9, .gbps = 12.5, .duration = 7};
+  const FlowSpec second{.src = 9, .dst = 4, .gbps = 30.0};
+  const auto a = engine.open(first);
+  const auto b = engine.open(second);
+  EXPECT_EQ(engine.spec(a).src, 4);
+  EXPECT_EQ(engine.spec(a).dst, 9);
+  EXPECT_EQ(engine.spec(a).gbps, 12.5);
+  EXPECT_EQ(engine.spec(a).duration, 7);
+  EXPECT_EQ(engine.spec(b).src, 9);
+  EXPECT_EQ(engine.spec(b).gbps, 30.0);
+  engine.close(a);
+  EXPECT_THROW((void)engine.spec(a), std::out_of_range);
+  EXPECT_EQ(engine.spec(b).dst, 4);  // closing one flow leaves the other's record
+  engine.close(b);
+  EXPECT_THROW((void)engine.spec(b), std::out_of_range);
+  EXPECT_THROW((void)engine.spec(424242), std::out_of_range);
+}
+
 TEST(FlowEngine, ReportAccumulatesAcrossOpens) {
   auto fabric = make_fabric();
   FlowEngine engine(fabric, 1 * sim::kPsPerUs, /*router_seed=*/7);

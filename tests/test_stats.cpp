@@ -239,27 +239,5 @@ TEST(QuantileSketchTest, ContractViolationsThrow) {
   EXPECT_THROW(sketch.merge(coarser), std::invalid_argument);
 }
 
-TEST(HistogramTest, CountsAndCdf) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  EXPECT_DOUBLE_EQ(h.total(), 10.0);
-  EXPECT_NEAR(h.cdf(5.0), 0.5, 1e-12);
-  EXPECT_EQ(h.cdf(-1.0), 0.0);
-  EXPECT_EQ(h.cdf(10.0), 1.0);
-}
-
-TEST(HistogramTest, OutOfRangeClamps) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-100.0);
-  h.add(100.0);
-  EXPECT_DOUBLE_EQ(h.count(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(3), 1.0);
-}
-
-TEST(HistogramTest, BadRangeThrows) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace photorack::sim

@@ -201,6 +201,20 @@ TEST(TraceArrivals, LoadsFileSkipsCommentsRejectsGarbage) {
   EXPECT_THROW(load_arrival_trace(bad), std::runtime_error);
   std::remove(bad.c_str());
 
+  // 1e10 ms is past the TimePs range: rejected at its line, not converted.
+  const std::string huge = ::testing::TempDir() + "arrivals_huge.txt";
+  {
+    std::ofstream out(huge);
+    out << "1.5\n1e10\n";
+  }
+  try {
+    (void)load_arrival_trace(huge);
+    ADD_FAILURE() << "expected an out-of-range timestamp to throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(huge + ":2"), std::string::npos) << e.what();
+  }
+  std::remove(huge.c_str());
+
   EXPECT_THROW(load_arrival_trace("/nonexistent/trace.txt"), std::runtime_error);
 }
 
